@@ -9,20 +9,10 @@
 #include <thread>
 #include <utility>
 
-#include "graph/algos.hpp"
 #include "graph/generators.hpp"
 #include "graph/genspec.hpp"
 #include "graph/io.hpp"
-#include "matching/lr_matching.hpp"
-#include "matching/lr_matching_det.hpp"
-#include "matching/mcm_congest.hpp"
-#include "matching/nmm_2eps.hpp"
-#include "matching/proposal.hpp"
-#include "matching/weighted_2eps.hpp"
-#include "maxis/coloring_maxis.hpp"
-#include "maxis/layered_maxis.hpp"
-#include "mis/ghaffari_nmis.hpp"
-#include "mis/luby.hpp"
+#include "service/algorithms.hpp"
 #include "service/result_cache.hpp"
 #include "sim/run_many.hpp"
 #include "support/assert.hpp"
@@ -30,162 +20,18 @@
 
 namespace distapx::service {
 
-namespace {
-
-sim::RunOptions run_opts(const JobSpec& spec, std::uint64_t seed) {
-  sim::RunOptions o;
-  o.policy = spec.policy;
-  o.seed = seed;
-  o.max_rounds = spec.max_rounds;
-  return o;
-}
-
-RunRow row_from(const sim::RunMetrics& m, std::uint64_t seed) {
-  RunRow row;
-  row.seed = seed;
-  row.rounds = m.rounds;
-  row.messages = m.messages;
-  row.total_bits = m.total_bits;
-  row.max_edge_bits = m.max_edge_bits;
-  row.completed = m.completed;
-  return row;
-}
-
-/// Runs a single-program IS algorithm on the worker's leased Network and
-/// scores the IS against `score_weights` (nullptr = cardinality).
-RunRow run_is_program(const ResolvedJob& job, NetworkLease& lease,
-                      std::uint64_t seed, const sim::ProgramFactory& factory,
-                      const NodeWeights* score_weights) {
-  auto& net = lease.acquire(job.graph);
-  const auto r = net.run(factory, run_opts(job.spec, seed));
-  RunRow row = row_from(r.metrics, seed);
-  for (NodeId v = 0; v < job.graph.num_nodes(); ++v) {
-    if (r.outputs[v] == kOutInIs) {
-      ++row.solution_size;
-      row.objective += score_weights ? (*score_weights)[v] : 1;
-    }
-  }
-  return row;
-}
-
-RunRow matching_row(const std::vector<EdgeId>& matching,
-                    const EdgeWeights* score_weights, RunRow row) {
-  row.solution_size = matching.size();
-  row.objective = score_weights
-                      ? matching_weight(*score_weights, matching)
-                      : static_cast<Weight>(matching.size());
-  return row;
-}
-
-/// The per-algorithm run adapters. Single-program algorithms reuse the
-/// leased Network; multi-phase pipelines run their own internal networks
-/// (their internal bandwidth policies match the paper's analysis, so the
-/// job's policy applies only to leased runs).
-RunRow dispatch(const ResolvedJob& job, NetworkLease& lease,
-                std::uint64_t seed) {
-  const JobSpec& spec = job.spec;
-  const std::string& a = spec.algorithm;
-  if (a == "luby") {
-    return run_is_program(job, lease, seed, make_luby_program(job.graph),
-                          nullptr);
-  }
-  if (a == "nmis") {
-    return run_is_program(job, lease, seed,
-                          make_nmis_program(job.graph, NmisParams{}), nullptr);
-  }
-  if (a == "maxis-alg2") {
-    const Weight max_w =
-        job.node_weights.empty()
-            ? 1
-            : *std::max_element(job.node_weights.begin(),
-                                job.node_weights.end());
-    return run_is_program(
-        job, lease, seed,
-        make_layered_maxis_program(job.graph, job.node_weights, max_w),
-        &job.node_weights);
-  }
-  if (a == "maxis-alg3") {
-    const auto r = run_coloring_maxis(job.graph, job.node_weights,
-                                      ColoringSource::kLinial, seed,
-                                      spec.max_rounds);
-    RunRow row = row_from(r.coloring_metrics, seed);
-    row.rounds += r.maxis_metrics.rounds;
-    row.messages += r.maxis_metrics.messages;
-    row.total_bits += r.maxis_metrics.total_bits;
-    row.max_edge_bits = std::max(row.max_edge_bits,
-                                 r.maxis_metrics.max_edge_bits);
-    row.completed = r.coloring_metrics.completed &&
-                    r.maxis_metrics.completed;
-    row.solution_size = r.independent_set.size();
-    row.objective = set_weight(job.node_weights, r.independent_set);
-    return row;
-  }
-  if (a == "mwm-lr") {
-    const auto r = run_lr_matching(job.graph, job.edge_weights, seed);
-    return matching_row(r.matching, &job.edge_weights,
-                        row_from(r.metrics, seed));
-  }
-  if (a == "mwm-lr-det") {
-    const auto r = run_lr_matching_deterministic(job.graph, job.edge_weights);
-    RunRow row = row_from(r.coloring_metrics, seed);
-    row.rounds += r.matching_metrics.rounds;
-    row.messages += r.matching_metrics.messages;
-    row.total_bits += r.matching_metrics.total_bits;
-    row.max_edge_bits = std::max(row.max_edge_bits,
-                                 r.matching_metrics.max_edge_bits);
-    row.completed = r.coloring_metrics.completed &&
-                    r.matching_metrics.completed;
-    return matching_row(r.matching, &job.edge_weights, row);
-  }
-  if (a == "mcm-2eps") {
-    Nmm2EpsParams p;
-    p.epsilon = spec.eps;
-    const auto r = run_nmm_2eps_matching(job.graph, seed, p);
-    return matching_row(r.matching, nullptr, row_from(r.metrics, seed));
-  }
-  if (a == "mwm-2eps") {
-    Weighted2EpsParams p;
-    p.epsilon = spec.eps;
-    const auto r =
-        run_weighted_2eps_matching(job.graph, job.edge_weights, seed, p);
-    return matching_row(r.matching, &job.edge_weights,
-                        row_from(r.metrics, seed));
-  }
-  if (a == "mcm-1eps") {
-    McmCongestParams p;
-    p.epsilon = spec.eps;
-    const auto r = run_mcm_1eps_congest(job.graph, seed, p);
-    RunRow row;
-    row.seed = seed;
-    row.rounds = r.rounds;
-    row.completed = true;  // the stage budget always terminates
-    return matching_row(r.matching, nullptr, row);
-  }
-  if (a == "proposal") {
-    ProposalParams p;
-    p.epsilon = spec.eps;
-    const auto r = run_proposal_matching(job.graph, seed, p);
-    return matching_row(r.matching, nullptr, row_from(r.metrics, seed));
-  }
-  throw JobError("unknown algorithm \"" + a + "\"");
-}
-
-}  // namespace
-
 ResolvedJob resolve_job(JobSpec spec) {
   // Validate before materializing anything: a typo'd algorithm must not
   // cost a multi-million-edge graph generation first.
-  if (!is_known_algorithm(spec.algorithm)) {
-    throw JobError("unknown algorithm \"" + spec.algorithm + "\"");
-  }
+  const Algorithm& algorithm = validate_job_spec(spec);
 
   ResolvedJob job;
   job.spec = std::move(spec);
+  job.algorithm = &algorithm;
   job.cache_key_prefix = job_fingerprinter(job.spec);
 
-  // Same derivation as the single-run CLI: one RNG stream seeds the
-  // generator and then the weights, so a job's workload is a pure function
-  // of (source, gseed, maxw).
+  // One RNG stream seeds the generator and then the weights, so a job's
+  // workload is a pure function of (source, gseed, maxw).
   Rng rng(hash_combine(job.spec.graph_seed, 0xc11));
   std::optional<EdgeWeights> loaded_ew;
   if (!job.spec.gen_spec.empty()) {
@@ -232,6 +78,8 @@ BatchResult BatchServer::serve() {
     }
   }
 
+  // A RunDetail describes one run; it has no meaning for a larger batch.
+  DISTAPX_ENSURE(opts_.detail == nullptr || units.size() == 1);
   const unsigned workers = sim::resolve_threads(opts_.threads, units.size());
   const auto start = std::chrono::steady_clock::now();
 
@@ -259,7 +107,7 @@ BatchResult BatchServer::serve() {
   auto timed_dispatch = [&](const ResolvedJob& job, NetworkLease& lease,
                             std::uint64_t seed, std::uint32_t job_index) {
     const auto t0 = std::chrono::steady_clock::now();
-    RunRow row = dispatch(job, lease, seed);
+    RunRow row = job.algorithm->run(job, lease, seed, opts_.detail);
     job_hist[job_index]->observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)

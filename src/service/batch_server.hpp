@@ -45,14 +45,15 @@ struct RunRow {
   friend bool operator==(const RunRow&, const RunRow&) = default;
 };
 
+struct RunDetail;  // service/algorithms.hpp
+
 /// A JobSpec with its workload materialized: the graph is generated or
 /// loaded once (deterministically from spec.graph_seed) and weights are
-/// sampled once. Per-seed execution is dispatched on spec.algorithm:
-/// single-program algorithms run on the worker's leased Network,
-/// multi-phase pipelines (mwm-2eps, mcm-1eps, ...) run their own internal
-/// networks.
+/// sampled once. Per-seed execution runs the registry entry looked up at
+/// resolution (service/algorithms.hpp).
 struct ResolvedJob {
   JobSpec spec;
+  const Algorithm* algorithm = nullptr;  ///< the entry for spec.algorithm
   Graph graph;
   NodeWeights node_weights;
   EdgeWeights edge_weights;
@@ -62,8 +63,9 @@ struct ResolvedJob {
   Fingerprinter cache_key_prefix;
 };
 
-/// Materializes a spec (throws JobError / gen::SpecError / EnsureError on
-/// an unknown algorithm, malformed spec, or unreadable graph file).
+/// Validates (validate_job_spec) and materializes a spec. Throws JobError
+/// on an invalid spec before any graph is built, gen::SpecError /
+/// EnsureError on a malformed generator spec or unreadable graph file.
 ResolvedJob resolve_job(JobSpec spec);
 
 /// Per-worker cache of one reusable Network, rebound lazily as the worker
@@ -135,6 +137,10 @@ struct BatchOptions {
   /// thread-safe, so all workers share it.
   trace::Collector* trace = nullptr;
   std::uint32_t trace_parent = 0;
+  /// Optional sink for the computed run's RunDetail (solution ids and
+  /// algorithm-specific facts). Only for a batch of exactly one (job,
+  /// seed) unit — the CLI single run. Not owned; must outlive serve().
+  RunDetail* detail = nullptr;
 };
 
 /// Shards submitted jobs into per-seed work units and serves them over one

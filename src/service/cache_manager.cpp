@@ -18,7 +18,7 @@ namespace {
 /// Changelog base name: the on-disk files are manifest.log (tail) and
 /// manifest.snap (snapshot). "manifest.log" is deliberately the same path
 /// the pre-changelog text journal used, so a legacy directory is detected
-/// (foreign magic) and migrated rather than shadowed.
+/// (foreign magic) and replaced rather than shadowed.
 constexpr const char* kManifestBase = "manifest";
 constexpr const char* kQuarantineName = "quarantine";
 
@@ -77,7 +77,7 @@ CacheManager::CacheManager(std::string dir, metrics::Registry* registry)
     throw JobError("cannot open cache directory " + dir_ + ": " +
                    ec.message());
   }
-  const std::vector<ManifestRecord> legacy = open_journal();
+  open_journal();
 
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t replayed = 0;
@@ -90,10 +90,10 @@ CacheManager::CacheManager(std::string dir, metrics::Registry* registry)
     open_replays_.inc();
   } else {
     // No journal state (fresh dir, filled by unbudgeted writers that keep
-    // no journal, or a just-migrated legacy manifest): the directory walk
-    // is the only source of truth; legacy records seed the access order.
+    // no journal, or a just-replaced foreign manifest): the directory walk
+    // is the only source of truth.
     open_scans_.inc();
-    scan_locked(legacy);
+    scan_locked();
     // Persist what the scan found so the *next* open replays instead of
     // walking. An empty result writes nothing: a bare directory must stay
     // bare (and must not pin a stale empty snapshot over entries an
@@ -107,18 +107,17 @@ CacheManager::~CacheManager() {
   flush_journal_locked();
 }
 
-std::vector<ManifestRecord> CacheManager::open_journal() {
+void CacheManager::open_journal() {
   const std::string base = dir_ + "/" + kManifestBase;
   try {
     changelog_.emplace(base);
-    return {};
+    return;
   } catch (const ChangelogError&) {
-    // Pre-changelog manifest.log (line-oriented text journal), or a
-    // corrupted header: salvage what the text reader can parse for
-    // recency, then rebuild the files in changelog format. Entry files —
-    // the ground truth — are untouched either way.
+    // A foreign manifest.log (e.g. a pre-changelog text journal) or a
+    // corrupted header: replace both files with an empty changelog. The
+    // entry files — the ground truth — are untouched, and the constructor's
+    // scan recovers every one of them.
   }
-  std::vector<ManifestRecord> legacy = read_manifest(base + ".log");
   std::error_code ec;
   fs::remove(base + ".log", ec);
   fs::remove(base + ".snap", ec);
@@ -127,11 +126,7 @@ std::vector<ManifestRecord> CacheManager::open_journal() {
   } catch (const ChangelogError& e) {
     throw JobError("cannot open cache journal in " + dir_ + ": " + e.what());
   }
-  if (!legacy.empty()) {
-    logx::info("cache_manifest_migrated",
-               {{"dir", dir_}, {"legacy_records", legacy.size()}});
-  }
-  return legacy;
+  logx::info("cache_manifest_replaced", {{"dir", dir_}});
 }
 
 std::string CacheManager::manifest_path() const {
@@ -182,10 +177,9 @@ void CacheManager::replay_locked(std::uint64_t* replayed_records) {
   publish_gauges_locked();
 }
 
-void CacheManager::scan_locked(const std::vector<ManifestRecord>& recency) {
-  // Disk is ground truth for existence and size; the recency records only
-  // add access order (entries they do not mention rank least-recent with
-  // the hex tie-break).
+void CacheManager::scan_locked() {
+  // Disk is ground truth for existence and size; a scan knows no access
+  // order, so every entry ranks equal (the hex tie-break orders them).
   entries_.clear();
   live_bytes_ = 0;
   next_access_ = 1;
@@ -208,14 +202,6 @@ void CacheManager::scan_locked(const std::vector<ManifestRecord>& recency) {
     live_bytes_ += size;
   }
 
-  for (const ManifestRecord& rec : recency) {
-    if (rec.fields.empty()) continue;
-    const auto it = entries_.find(rec.fields[0]);
-    if (it == entries_.end()) continue;  // journal mentions a gone entry
-    if (rec.tag == "F" || rec.tag == "T") {
-      it->second.last_access = next_access_++;
-    }
-  }
   publish_gauges_locked();
 }
 
@@ -542,7 +528,7 @@ void CacheManager::rescan() {
   // this manager already knows (in-memory is at least as fresh as the
   // journal it just flushed). New keys rank least-recent.
   const std::map<std::string, Entry> known = std::move(entries_);
-  scan_locked({});
+  scan_locked();
   for (auto& [hex, e] : entries_) {
     if (const auto it = known.find(hex); it != known.end()) {
       e.last_access = it->second.last_access;

@@ -12,12 +12,11 @@
 // Opening is O(snapshot + tail), not O(directory): when the changelog
 // carries state, replaying it reconstructs the accounting without
 // touching a single entry file (cache_open_replays_total). Only a
-// directory with no journal at all — fresh, populated by an unbudgeted
-// writer, or carrying a pre-changelog text manifest — pays a full
-// recursive scan (cache_open_scans_total), after which a snapshot is
-// written so the next open replays. Legacy text manifest.log files are
-// migrated in place: their line records seed the recency order, then the
-// file is rewritten in changelog format.
+// directory with no journal state — fresh, populated by an unbudgeted
+// writer, or carrying a foreign or corrupt manifest.log, which is
+// replaced by an empty changelog — pays a full recursive scan
+// (cache_open_scans_total), after which a snapshot is written so the next
+// open replays. A scan recovers every entry but no access order.
 //
 // Safety model — everything here is *advisory* except the deletes:
 //   - Entries are immutable, checksummed, recomputable files published by
@@ -232,16 +231,13 @@ class CacheManager {
   /// fdatasync — per kJournalFlushBatch records).
   static constexpr std::size_t kJournalFlushBatch = 64;
 
-  /// Opens (or migrates, or rebuilds) the changelog at manifest_path().
-  /// Returns the legacy text manifest's records when a pre-changelog
-  /// journal was migrated — the constructor's scan uses them as the
-  /// recency seed. Empty otherwise.
-  std::vector<ManifestRecord> open_journal();
+  /// Opens the changelog at manifest_path(), replacing a foreign or
+  /// corrupt one with an empty changelog.
+  void open_journal();
   /// Rebuilds the map from the replayed changelog (no directory I/O).
   void replay_locked(std::uint64_t* replayed_records);
-  /// Rebuilds the map from a recursive directory walk; `recency` records
-  /// (legacy manifest lines or replayed journal) seed the access order.
-  void scan_locked(const std::vector<ManifestRecord>& recency);
+  /// Rebuilds the map from a recursive directory walk.
+  void scan_locked();
   /// Applies one journal record to the map (idempotent: replay may
   /// deliver a record twice after a crash between snapshot and tail
   /// reset).

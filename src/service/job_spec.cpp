@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "graph/genspec.hpp"
+#include "service/algorithms.hpp"
 #include "support/parse.hpp"
 
 namespace distapx::service {
@@ -59,18 +60,18 @@ sim::BandwidthPolicy parse_policy(const std::string& tok) {
 
 }  // namespace
 
-const std::vector<std::string>& algorithm_names() {
-  static const std::vector<std::string> names = {
-      "luby",    "nmis",       "maxis-alg2", "maxis-alg3", "mwm-lr",
-      "mwm-lr-det", "mcm-2eps", "mwm-2eps",   "mcm-1eps",   "proposal"};
-  return names;
-}
-
-bool is_known_algorithm(const std::string& name) {
-  for (const auto& known : algorithm_names()) {
-    if (known == name) return true;
+const Algorithm& validate_job_spec(const JobSpec& spec) {
+  if (!(spec.eps > 0)) fail("eps must be positive");
+  if (spec.max_w <= 0) fail("maxw must be positive");
+  if (spec.algorithm.empty()) fail("missing required key algo=");
+  const Algorithm* algorithm = find_algorithm(spec.algorithm);
+  if (algorithm == nullptr) {
+    fail("unknown algorithm \"" + spec.algorithm + "\"");
   }
-  return false;
+  if (spec.gen_spec.empty() == spec.graph_file.empty()) {
+    fail("exactly one of gen= / file= is required");
+  }
+  return *algorithm;
 }
 
 JobSpec parse_job_line(const std::string& line) {
@@ -106,10 +107,8 @@ JobSpec parse_job_line(const std::string& line) {
       spec.policy = parse_policy(value);
     } else if (key == "eps") {
       spec.eps = parse_double(key, value);
-      if (spec.eps <= 0) fail("eps must be positive");
     } else if (key == "maxw") {
       spec.max_w = static_cast<Weight>(parse_uint(key, value, 1u << 30));
-      if (spec.max_w == 0) fail("maxw must be positive");
     } else if (key == "rounds") {
       spec.max_rounds = static_cast<std::uint32_t>(
           parse_uint(key, value, 1u << 30));
@@ -117,13 +116,7 @@ JobSpec parse_job_line(const std::string& line) {
       fail("unknown key \"" + key + "\"");
     }
   }
-  if (spec.algorithm.empty()) fail("missing required key algo=");
-  if (!is_known_algorithm(spec.algorithm)) {
-    fail("unknown algorithm \"" + spec.algorithm + "\"");
-  }
-  if (spec.gen_spec.empty() == spec.graph_file.empty()) {
-    fail("exactly one of gen= / file= is required");
-  }
+  validate_job_spec(spec);
   return spec;
 }
 

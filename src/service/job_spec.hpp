@@ -11,7 +11,7 @@
 //   # key            meaning                                    default
 //   gen=SPEC         generator spec (graph/genspec.hpp)         — one of
 //   file=PATH        edge-list file (graph/io.hpp)                gen/file
-//   algo=NAME        algorithm (see algorithm_names())          required
+//   algo=NAME        registry name (service/algorithms.cpp)     required
 //   seeds=F:C        run seeds F, F+1, ..., F+C-1               1:1
 //   seeds=C          shorthand for 1:C
 //   name=ID          label used in reports                      job<index>
@@ -49,7 +49,7 @@ struct JobSpec {
   std::string name;        ///< report label; parse_job_file defaults job<i>
   std::string gen_spec;    ///< generator spec; empty iff graph_file is set
   std::string graph_file;  ///< edge-list path; empty iff gen_spec is set
-  std::string algorithm;   ///< one of algorithm_names()
+  std::string algorithm;   ///< a registry name (service/algorithms.hpp)
   std::uint64_t first_seed = 1;
   std::uint32_t num_seeds = 1;
   /// Seeds graph generation and weight sampling (NOT the runs): two jobs
@@ -66,11 +66,14 @@ struct JobSpec {
   }
 };
 
-/// Algorithms the batch server can run (the distapx_cli set).
-const std::vector<std::string>& algorithm_names();
+struct Algorithm;  // service/algorithms.hpp
 
-/// Membership test against algorithm_names().
-bool is_known_algorithm(const std::string& name);
+/// Checks what every job needs regardless of how it was written — a
+/// registered algorithm, exactly one graph source, eps > 0, maxw > 0 —
+/// and returns the algorithm's registry entry. Throws JobError. Both
+/// parse_job_line and resolve_job call it, so a spec built in code (the
+/// CLI single run) fails the same way a job-file line does.
+const Algorithm& validate_job_spec(const JobSpec& spec);
 
 /// Parses one job line (no comment handling). Throws JobError.
 JobSpec parse_job_line(const std::string& line);

@@ -1,8 +1,8 @@
 // Write-ahead changelog: a framed, checksummed, torn-tail-tolerant
 // append-only record log with snapshot + compaction.
 //
-// manifest.hpp's line-oriented journal was the prototype: append cheaply,
-// replay on open, tolerate a torn tail. This module is the generalized,
+// A line-oriented text journal was the prototype: append cheaply, replay
+// on open, tolerate a torn tail. This module is the generalized,
 // binary-safe version the serving tier's crash-recovery is built on. A
 // changelog at base path P owns two files:
 //

@@ -1,16 +1,8 @@
 #include "support/manifest.hpp"
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "support/log.hpp"
-
 namespace distapx {
-
-namespace fs = std::filesystem;
 
 std::string format_manifest_line(const ManifestRecord& record) {
   std::string line = record.tag;
@@ -29,66 +21,6 @@ std::optional<ManifestRecord> parse_manifest_line(std::string_view line) {
   std::string field;
   while (tokens >> field) record.fields.push_back(std::move(field));
   return record;
-}
-
-std::vector<ManifestRecord> read_manifest(const std::string& path) {
-  std::vector<ManifestRecord> records;
-  std::ifstream is(path);
-  if (!is) return records;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (auto record = parse_manifest_line(line)) {
-      records.push_back(std::move(*record));
-    }
-  }
-  return records;
-}
-
-bool append_manifest(const std::string& path,
-                     const std::vector<ManifestRecord>& records) {
-  std::ofstream os(path, std::ios::app);
-  bool ok = static_cast<bool>(os);
-  if (ok) {
-    // One buffered write per call keeps whole lines contiguous; O_APPEND
-    // (ios::app) makes each underlying write land at the live end of file
-    // even with concurrent appenders.
-    std::string buf;
-    for (const ManifestRecord& r : records) buf += format_manifest_line(r);
-    os << buf;
-    os.flush();
-    ok = static_cast<bool>(os);
-  }
-  if (!ok) {
-    // Advisory data, but a journal that stops persisting is a disk-full /
-    // permissions fault the operator must hear about. logx rate-limits
-    // per event name, so a hot loop cannot flood the log.
-    logx::warn("manifest_append_failed",
-               {{"path", path}, {"records", records.size()}});
-  }
-  return ok;
-}
-
-bool compact_manifest(const std::string& path,
-                      const std::vector<ManifestRecord>& records) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return false;
-    for (const ManifestRecord& r : records) os << format_manifest_line(r);
-    os.flush();
-    if (!os) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace distapx

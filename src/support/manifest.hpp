@@ -1,23 +1,12 @@
-// Append-only on-disk manifests (line-oriented record journals).
+// The manifest line codec: one record as `tag field field ...`,
+// whitespace-separated.
 //
-// The cache manager (service/cache_manager.hpp) tracks per-entry metadata
-// — sizes and last-access order — in a journal it can append to cheaply
-// from many processes at once and replay on open. This module provides
-// that primitive generically: a manifest is a text file of one record per
-// line, `tag field field ...`, whitespace-separated.
-//
-// Durability model: the manifest is *advisory* metadata. Appends are
-// single-write lines on an O_APPEND stream, so concurrent appenders from
-// different processes interleave at line granularity in the common case;
-// a torn or malformed line (crash mid-write, pathological interleaving)
-// is skipped by read_manifest rather than failing the load. Consumers
-// must treat the replayed records as hints and keep ground truth
-// elsewhere (for the cache: the entry files themselves, which are
-// immutable and checksummed). compact_manifest rewrites atomically via
-// temp + rename, so readers never observe a half-written manifest.
+// The cache manager's changelog (service/cache_manager.hpp) and the
+// daemon's publication journal (service/daemon.hpp) both use this syntax
+// for their record payloads; framing, checksums and replay are the
+// changelog's job (support/changelog.hpp).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,34 +22,10 @@ struct ManifestRecord {
 };
 
 /// The record as one line, trailing newline included ("F ab12... 97\n").
-/// The cache manager also uses this as the payload syntax for its
-/// changelog records (support/changelog.hpp), so a manifest line means
-/// the same thing whether it lives in a text journal or a framed one.
 std::string format_manifest_line(const ManifestRecord& record);
 
 /// Inverse of format_manifest_line for one line (no trailing newline
 /// required): nullopt for a blank/torn line.
 std::optional<ManifestRecord> parse_manifest_line(std::string_view line);
-
-/// Replays every well-formed line of `path` in file order. A missing file
-/// is an empty manifest; malformed lines (empty, torn) are skipped.
-std::vector<ManifestRecord> read_manifest(const std::string& path);
-
-/// Appends records to `path`, one line each, in O_APPEND mode (each call
-/// reopens the stream, so concurrent appenders from other processes land
-/// at the current end of file). Returns false if the write failed, after
-/// emitting a rate-limited warn — manifest data is advisory (loss
-/// degrades LRU precision, never correctness), but a persistently
-/// unwritable journal is an operational fault the log must surface, not
-/// the silent shrug it used to be. Callers that own a metrics registry
-/// should additionally count the failure (the cache manager bumps
-/// manifest_append_failures_total).
-bool append_manifest(const std::string& path,
-                     const std::vector<ManifestRecord>& records);
-
-/// Atomically replaces `path` with exactly `records` (temp + rename).
-/// Returns false on failure, leaving the old manifest intact.
-bool compact_manifest(const std::string& path,
-                      const std::vector<ManifestRecord>& records);
 
 }  // namespace distapx

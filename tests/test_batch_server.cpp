@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "mis/luby.hpp"
 #include "mis/mis.hpp"
+#include "service/algorithms.hpp"
 #include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
 #include "sim/run_many.hpp"
+#include "support/assert.hpp"
 #include "support/table.hpp"
 
 namespace distapx {
@@ -308,6 +311,30 @@ TEST(BatchServer, ResolveRejectsBadSpecs) {
   bad.algorithm = "frobnicate";
   EXPECT_THROW(service::resolve_job(bad), service::JobError);
 
+  // A spec built in code gets the job-file diagnostics too, instead of
+  // reaching an algorithm that cannot handle it.
+  const auto resolve_error = [](service::JobSpec spec) -> std::string {
+    try {
+      service::resolve_job(std::move(spec));
+    } catch (const service::JobError& e) {
+      return e.what();
+    }
+    return "<no JobError thrown>";
+  };
+  service::JobSpec good;
+  good.gen_spec = "gnp:50:0.1";
+  good.algorithm = "mwm-2eps";
+  service::JobSpec zero_eps = good;
+  zero_eps.eps = 0;
+  EXPECT_EQ(resolve_error(zero_eps), "eps must be positive");
+  service::JobSpec zero_maxw = good;
+  zero_maxw.max_w = 0;
+  EXPECT_EQ(resolve_error(zero_maxw), "maxw must be positive");
+  service::JobSpec two_sources = good;
+  two_sources.graph_file = "x.graph";
+  EXPECT_EQ(resolve_error(two_sources),
+            "exactly one of gen= / file= is required");
+
   service::JobSpec missing_file;
   missing_file.graph_file = "/nonexistent/definitely.graph";
   missing_file.algorithm = "luby";
@@ -343,6 +370,118 @@ TEST(BatchServer, ServeTwiceIsIdempotent) {
   const auto first = server.serve();
   const auto second = server.serve();
   expect_same_rows(first, second);
+}
+
+// ---- the algorithm registry -------------------------------------------------
+
+service::JobSpec registry_spec(std::string_view algo, std::uint32_t seeds) {
+  return service::parse_job_line("gen=gnp:120:0.05 gseed=3 seeds=3:" +
+                                 std::to_string(seeds) + " algo=" +
+                                 std::string(algo));
+}
+
+TEST(AlgorithmRegistry, NamesKeepTheirPublishedOrder) {
+  // Usage text and scripts list the algorithms in this order.
+  const std::vector<std::string_view> expected = {
+      "luby",     "nmis",     "maxis-alg2", "maxis-alg3", "mwm-lr",
+      "mwm-lr-det", "mcm-2eps", "mwm-2eps", "mcm-1eps",   "proposal"};
+  std::vector<std::string_view> names;
+  for (const service::Algorithm& a : service::algorithms()) {
+    names.push_back(a.name);
+    EXPECT_EQ(service::find_algorithm(a.name), &a);
+    EXPECT_FALSE(a.paper_ref.empty()) << a.name;
+  }
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(service::find_algorithm("frobnicate"), nullptr);
+}
+
+TEST(AlgorithmRegistry, EveryEntryServesItsGoldenRowsAndDetail) {
+  // Rows captured before the registry replaced the per-algorithm dispatch
+  // (gnp:120:0.05, gseed=3, seeds 3 and 4). Columns: seed, rounds,
+  // messages, total_bits, max_edge_bits, completed, size, objective. The
+  // facts are what the single run printed for seed 3 at the same commit.
+  using Facts = std::vector<std::pair<std::string, std::uint64_t>>;
+  const struct {
+    std::string_view algo;
+    service::RunRow rows[2];
+    Facts facts;
+  } golden[] = {
+      {"luby",
+       {{3, 10, 1113, 17640, 18, true, 39, 39},
+        {4, 9, 1031, 16796, 18, true, 36, 36}},
+       {{"undecided", 0}}},
+      {"nmis",
+       {{3, 34, 2821, 24984, 10, true, 43, 43},
+        {4, 31, 3446, 30262, 10, true, 44, 44}},
+       {{"undecided", 0}}},
+      {"maxis-alg2",
+       {{3, 14, 1392, 17665, 18, true, 40, 2588},
+        {4, 10, 1412, 17713, 18, true, 39, 2490}},
+       {{"undecided", 0}}},
+      {"maxis-alg3",
+       {{3, 119, 78472, 860262, 11, true, 39, 2416},
+        {4, 119, 78472, 860262, 11, true, 39, 2416}},
+       {{"colors", 13}}},
+      {"mwm-lr",
+       {{3, 28, 4788, 354312, 75, true, 50, 4081},
+        {4, 20, 4710, 348540, 75, true, 50, 3960}},
+       {}},
+      {"mwm-lr-det",
+       {{3, 366, 1461302, 19180978, 46, true, 51, 4053},
+        {4, 366, 1461302, 19180978, 46, true, 51, 4053}},
+       {{"colors", 23}}},
+      {"mcm-2eps",
+       {{3, 38, 7581, 295659, 52, true, 57, 57},
+        {4, 30, 6477, 252603, 52, true, 56, 56}},
+       {{"super_rounds", 19}, {"undecided_edges", 0}}},
+      {"mwm-2eps",
+       {{3, 64, 1005, 39195, 52, true, 54, 4344},
+        {4, 86, 1023, 39897, 52, true, 54, 4483}},
+       {{"rounds_parallel", 58}}},
+      {"mcm-1eps",
+       {{3, 879828, 0, 0, 0, true, 58, 58},
+        {4, 215850, 0, 0, 0, true, 59, 59}},
+       {{"stages", 64}, {"deactivated", 8}}},
+      {"proposal",
+       {{3, 41, 195, 852, 4, true, 48, 48},
+        {4, 46, 245, 1056, 4, true, 51, 51}},
+       {}},
+  };
+  ASSERT_EQ(std::size(golden), service::algorithms().size());
+  std::size_t i = 0;
+  for (const service::Algorithm& a : service::algorithms()) {
+    ASSERT_EQ(golden[i].algo, a.name);
+    service::BatchServer server({2});
+    server.submit(registry_spec(a.name, 2));
+    const auto result = server.serve();
+    ASSERT_EQ(result.jobs.at(0).rows.size(), 2u) << a.name;
+    for (std::size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(result.jobs[0].rows[r], golden[i].rows[r])
+          << a.name << " run " << r;
+    }
+
+    // Collecting the detail describes the row without changing it.
+    service::RunDetail detail;
+    service::BatchOptions opts;
+    opts.detail = &detail;
+    service::BatchServer single(opts);
+    single.submit(registry_spec(a.name, 1));
+    EXPECT_EQ(single.serve().jobs.at(0).rows.at(0), golden[i].rows[0])
+        << a.name;
+    EXPECT_EQ(detail.solution.size(), golden[i].rows[0].solution_size)
+        << a.name;
+    EXPECT_EQ(detail.facts, golden[i].facts) << a.name;
+    ++i;
+  }
+}
+
+TEST(AlgorithmRegistry, DetailNeedsExactlyOneRun) {
+  service::RunDetail detail;
+  service::BatchOptions opts;
+  opts.detail = &detail;
+  service::BatchServer server(opts);
+  server.submit(registry_spec("luby", 2));
+  EXPECT_THROW(server.serve(), EnsureError);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "service/result_cache.hpp"
 #include "support/changelog.hpp"
 #include "support/fingerprint.hpp"
-#include "support/manifest.hpp"
 #include "test_helpers.hpp"
 
 namespace distapx {
@@ -62,37 +61,6 @@ std::vector<Fingerprint> fill_entries(service::ResultCache& cache,
 }
 
 const std::uint64_t kEntry = service::entry_file_size();
-
-// ---- manifest primitive ----------------------------------------------------
-
-TEST(Manifest, AppendReadRoundTripSkipsTornLines) {
-  const ScopedTempDir dir("distapx-manifest");
-  fs::create_directories(dir.path);
-  const std::string path = (dir.path / "m.log").string();
-
-  EXPECT_TRUE(read_manifest(path).empty());  // missing file = empty
-  EXPECT_TRUE(append_manifest(path, {{"F", {"abc", "97"}}, {"T", {"abc"}}}));
-  EXPECT_TRUE(append_manifest(path, {{"F", {"def", "42"}}}));
-  {
-    std::ofstream os(path, std::ios::app);
-    os << "\n";  // torn/blank line: must be skipped, not fail the load
-  }
-  EXPECT_TRUE(append_manifest(path, {{"T", {"def"}}}));
-
-  const auto records = read_manifest(path);
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0].tag, "F");
-  ASSERT_EQ(records[0].fields.size(), 2u);
-  EXPECT_EQ(records[0].fields[0], "abc");
-  EXPECT_EQ(records[0].fields[1], "97");
-  EXPECT_EQ(records[1].tag, "T");
-  EXPECT_EQ(records[3].fields[0], "def");
-
-  EXPECT_TRUE(compact_manifest(path, {{"F", {"ghi", "1"}}}));
-  const auto compacted = read_manifest(path);
-  ASSERT_EQ(compacted.size(), 1u);
-  EXPECT_EQ(compacted[0].fields[0], "ghi");
-}
 
 // ---- key recovery from entry paths -----------------------------------------
 
@@ -507,38 +475,35 @@ TEST(CacheManager, FreshDirectoryScansOnceThenNextOpenReplays) {
   EXPECT_EQ(second.live_bytes(), 5 * kEntry);
 }
 
-TEST(CacheManager, LegacyTextManifestIsMigratedPreservingRecency) {
-  const ScopedTempDir dir("distapx-mgr-legacy");
+TEST(CacheManager, ForeignManifestIsReplacedAndOpenScansEveryEntry) {
+  const ScopedTempDir dir("distapx-mgr-foreign");
   std::vector<Fingerprint> keys;
   {
     service::ResultCache cache(dir.str());  // unbudgeted: writes no journal
     keys = fill_entries(cache, 3);
   }
-  // A pre-changelog text manifest: fills in key order, then a touch that
-  // made key 0 the most recent.
-  std::vector<ManifestRecord> legacy;
-  for (const auto& key : keys) {
-    legacy.push_back({"F", {key.hex(), std::to_string(kEntry)}});
+  // A manifest.log without the changelog magic: a pre-changelog text
+  // journal, or plain garbage.
+  {
+    std::ofstream os(dir.path / "manifest.log");
+    os << "F " << keys[0].hex() << " " << kEntry << "\nT " << keys[0].hex()
+       << "\n";
   }
-  legacy.push_back({"T", {keys[0].hex()}});
-  ASSERT_TRUE(append_manifest((dir.path / "manifest.log").string(), legacy));
 
-  // Migration is a scan-open (a text file cannot be replayed), but the
-  // legacy lines seed the recency order.
+  // The foreign file is replaced, not parsed; the scan finds every entry.
   service::CacheManager manager(dir.str());
   EXPECT_EQ(manager.registry().counter("cache_open_scans_total").value(), 1u);
-  const auto lru = manager.entries_lru();
-  ASSERT_EQ(lru.size(), 3u);
-  EXPECT_EQ(lru.front().key, keys[1]);  // oldest untouched fill
-  EXPECT_EQ(lru.back().key, keys[0]);   // touched last in the legacy log
+  EXPECT_EQ(manager.live_entries(), 3u);
+  EXPECT_EQ(manager.live_bytes(), 3 * kEntry);
+  std::set<std::string> found, expected;
+  for (const auto& e : manager.entries_lru()) found.insert(e.key.hex());
+  for (const auto& key : keys) expected.insert(key.hex());
+  EXPECT_EQ(found, expected);
 
-  // The manifest is a changelog now: the next open replays, same order.
+  // The manifest is a changelog now: the next open replays it.
   service::CacheManager again(dir.str());
   EXPECT_EQ(again.registry().counter("cache_open_replays_total").value(), 1u);
-  const auto lru2 = again.entries_lru();
-  ASSERT_EQ(lru2.size(), 3u);
-  EXPECT_EQ(lru2.front().key, keys[1]);
-  EXPECT_EQ(lru2.back().key, keys[0]);
+  EXPECT_EQ(again.live_entries(), 3u);
 }
 
 TEST(CacheManager, JournalAppendFailuresAreCountedNotThrown) {

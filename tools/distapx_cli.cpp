@@ -26,22 +26,13 @@
 //   distapx_cli cache <dir> {stats | ls | verify [--quarantine|--delete] |
 //                     gc --budget SIZE | clear | prewarm | checkpoint}
 //
-// Algorithms:
-//   luby           Luby's MIS
-//   nmis           nearly-maximal IS (Sec 3.1)
-//   maxis-alg2     Δ-approx weighted MaxIS, randomized (Thm 2.3)
-//   maxis-alg3     Δ-approx weighted MaxIS, deterministic (Sec 2.3)
-//   mwm-lr         2-approx MWM, randomized (Thm 2.10)
-//   mwm-lr-det     2-approx MWM, deterministic (Thm 2.10)
-//   mcm-2eps       (2+ε)-approx MCM (Thm 3.2)
-//   mwm-2eps       (2+ε)-approx MWM (App B.1)
-//   mcm-1eps       (1+ε)-approx MCM (Thm B.12)
-//   proposal       (2+ε)-approx MCM via proposals (App B.4)
+// Algorithms: the registry in service/algorithms.cpp (names and paper
+// references); the usage text lists the names.
 //
-// Options:
+// Single-run options (the run is a one-job batch; see run_single):
 //   --graph FILE       load edge list (see graph/io.hpp)
 //   --gen SPEC         generator spec (full list: graph/genspec.hpp)
-//   --seed S           run seed (default 1)
+//   --seed S           run seed and graph/weight seed (default 1)
 //   --eps E            epsilon for the (2+ε)/(1+ε) algorithms
 //   --maxw W           random integer weights in [1, W] (default 100)
 //   --out FILE         write the solution (ids, one per line)
@@ -59,30 +50,17 @@
 #include <thread>
 #include <vector>
 
-#include "graph/algos.hpp"
-#include "graph/generators.hpp"
 #include "graph/genspec.hpp"
-#include "graph/io.hpp"
 #include "net/client.hpp"
 #include "net/http_admin.hpp"
 #include "net/socket.hpp"
-#include "matching/lr_matching.hpp"
-#include "matching/lr_matching_det.hpp"
-#include "matching/mcm_congest.hpp"
-#include "matching/nmm_2eps.hpp"
-#include "matching/proposal.hpp"
-#include "matching/weighted_2eps.hpp"
-#include "maxis/coloring_maxis.hpp"
-#include "maxis/layered_maxis.hpp"
-#include "mis/ghaffari_nmis.hpp"
-#include "mis/luby.hpp"
+#include "service/algorithms.hpp"
 #include "service/batch_server.hpp"
 #include "service/cache_manager.hpp"
 #include "service/daemon.hpp"
 #include "service/job_spec.hpp"
 #include "service/result_cache.hpp"
 #include "service/socket_server.hpp"
-#include "support/assert.hpp"
 #include "support/fsutil.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -94,16 +72,6 @@
 using namespace distapx;
 
 namespace {
-
-struct Options {
-  std::string algorithm;
-  std::string graph_file;
-  std::string gen_spec = "gnp:200:0.04";
-  std::string out_file;
-  std::uint64_t seed = 1;
-  double eps = 0.25;
-  Weight max_w = 100;
-};
 
 [[noreturn]] void usage_error(const std::string& msg) {
   std::cerr << "error: " << msg << "\nrun with no arguments for usage\n";
@@ -313,28 +281,6 @@ void start_admin(
   }
   std::cout << "admin on " << admin->endpoint().to_string() << "\n"
             << std::flush;
-}
-
-void print_metrics(const sim::RunMetrics& m) {
-  std::cout << "  rounds=" << m.rounds << " messages=" << m.messages
-            << " total_bits=" << m.total_bits
-            << " max_bits/edge/round=" << m.max_edge_bits;
-  if (m.bandwidth_cap > 0) std::cout << " (cap " << m.bandwidth_cap << ")";
-  std::cout << "\n";
-}
-
-void write_ids(const std::string& path, const std::vector<NodeId>& ids) {
-  if (path.empty()) return;
-  std::ofstream os(path);
-  for (NodeId v : ids) os << v << '\n';
-  std::cout << "  solution written to " << path << "\n";
-}
-
-void write_edges(const std::string& path, const std::vector<EdgeId>& ids) {
-  if (path.empty()) return;
-  std::ofstream os(path);
-  for (EdgeId e : ids) os << e << '\n';
-  std::cout << "  solution written to " << path << "\n";
 }
 
 void write_table(const std::string& path, const Table& table, bool json) {
@@ -951,6 +897,70 @@ int run_cache(int argc, char** argv) {
   usage_error("unknown cache command " + command);
 }
 
+/// `distapx_cli <algorithm>`: one run, served as a one-job batch so it is
+/// validated, derived and computed exactly like the `batch` job
+/// `algo=<algorithm> seeds=S:1 gseed=S`. Prints that job's runs-CSV row,
+/// then what only a single run reports: the algorithm-specific facts and,
+/// with --out, the solution.
+int run_single(int argc, char** argv) {
+  service::JobSpec spec;
+  spec.algorithm = argv[1];
+  spec.gen_spec = "gnp:200:0.04";
+  std::string out_file;
+  FlagSet flags("", "<algorithm>");
+  flags.str("--graph", "FILE", &spec.graph_file)
+      .str("--gen", "SPEC", &spec.gen_spec)
+      .uint("--seed", "S", &spec.first_seed)
+      .real("--eps", "E", &spec.eps)
+      .uint("--maxw", "W", &spec.max_w, 1u << 30)
+      .str("--out", "FILE", &out_file);
+  flags.parse(arg_rest(argc, argv, 2));
+  if (!spec.graph_file.empty()) spec.gen_spec.clear();  // --graph wins
+  spec.graph_seed = spec.first_seed;
+
+  service::RunDetail detail;
+  service::BatchOptions opts;
+  opts.threads = 1;
+  opts.detail = &detail;
+  service::BatchServer server(opts);
+  try {
+    server.submit(spec);  // validates before any graph is built
+  } catch (const std::exception& e) {
+    usage_error(e.what());
+  }
+  const service::ResolvedJob& job = server.job(0);
+  std::cout << job.algorithm->name << ": " << job.algorithm->paper_ref
+            << "\ngraph: n=" << job.graph.num_nodes()
+            << " m=" << job.graph.num_edges()
+            << " Δ=" << job.graph.max_degree() << "\n";
+  service::BatchResult result;
+  try {
+    result = server.serve();
+  } catch (const std::exception& e) {
+    // A violated invariant (e.g. a CONGEST cap breach) is a diagnostic,
+    // not a crash.
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+  service::runs_table(result).write_csv(std::cout);
+  if (!detail.facts.empty()) {
+    std::cout << "detail:";
+    for (const auto& [fact, value] : detail.facts) {
+      std::cout << " " << fact << "=" << value;
+    }
+    std::cout << "\n";
+  }
+  if (!out_file.empty()) {
+    std::string ids;
+    for (const std::uint32_t id : detail.solution) {
+      ids += std::to_string(id) + "\n";
+    }
+    write_text_or_die(out_file, ids);
+    std::cout << "solution written to " << out_file << "\n";
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -982,9 +992,11 @@ int main(int argc, char** argv) {
            "       distapx_cli cache <dir> {stats | ls [--limit N] | verify "
            "[--quarantine|--delete] | gc --budget SIZE | clear | prewarm | "
            "checkpoint}\n"
-           "algorithms: luby nmis maxis-alg2 maxis-alg3 mwm-lr mwm-lr-det "
-           "mcm-2eps mwm-2eps mcm-1eps proposal\n"
-           "gen specs: " << gen::spec_usage() << "\n";
+           "algorithms:";
+    for (const service::Algorithm& a : service::algorithms()) {
+      std::cout << " " << a.name;
+    }
+    std::cout << "\ngen specs: " << gen::spec_usage() << "\n";
     return 0;
   }
   if (std::string(argv[1]) == "batch") return run_batch(argc, argv);
@@ -992,130 +1004,5 @@ int main(int argc, char** argv) {
   if (std::string(argv[1]) == "submit") return run_submit(argc, argv);
   if (std::string(argv[1]) == "loadgen") return run_loadgen(argc, argv);
   if (std::string(argv[1]) == "cache") return run_cache(argc, argv);
-  Options opt;
-  opt.algorithm = argv[1];
-  FlagSet flags("", "<algorithm>");
-  flags.str("--graph", "FILE", &opt.graph_file)
-      .str("--gen", "SPEC", &opt.gen_spec)
-      .uint("--seed", "S", &opt.seed)
-      .real("--eps", "E", &opt.eps)
-      .uint("--maxw", "W", &opt.max_w, 1u << 30)
-      .str("--out", "FILE", &opt.out_file);
-  flags.parse(arg_rest(argc, argv, 2));
-
-  Rng rng(hash_combine(opt.seed, 0xc11));
-  Graph g;
-  std::optional<EdgeWeights> loaded_ew;
-  if (!opt.graph_file.empty()) {
-    try {
-      auto loaded = io::load_edge_list(opt.graph_file);
-      g = std::move(loaded.graph);
-      loaded_ew = std::move(loaded.edge_weights);
-    } catch (const EnsureError& e) {
-      usage_error(e.what());
-    }
-  } else {
-    try {
-      g = gen::from_spec(opt.gen_spec, rng);
-    } catch (const gen::SpecError& e) {
-      usage_error(e.what());
-    }
-  }
-  std::cout << "graph: n=" << g.num_nodes() << " m=" << g.num_edges()
-            << " Δ=" << g.max_degree() << "\n";
-
-  const NodeWeights nw =
-      gen::uniform_node_weights(g.num_nodes(), opt.max_w, rng);
-  const EdgeWeights ew =
-      loaded_ew ? *loaded_ew
-                : gen::uniform_edge_weights(g.num_edges(), opt.max_w, rng);
-
-  const std::string& a = opt.algorithm;
-  try {
-  if (a == "luby") {
-    const auto r = run_luby_mis(g, opt.seed);
-    std::cout << "MIS size " << r.independent_set.size() << "\n";
-    print_metrics(r.metrics);
-    write_ids(opt.out_file, r.independent_set);
-  } else if (a == "nmis") {
-    const auto r = run_nmis(g, opt.seed);
-    std::cout << "nearly-maximal IS size " << r.independent_set.size()
-              << ", undecided " << r.undecided.size() << "\n";
-    print_metrics(r.metrics);
-    write_ids(opt.out_file, r.independent_set);
-  } else if (a == "maxis-alg2") {
-    const auto r = run_layered_maxis(g, nw, opt.seed);
-    std::cout << "IS size " << r.independent_set.size() << " weight "
-              << set_weight(nw, r.independent_set) << "\n";
-    print_metrics(r.metrics);
-    write_ids(opt.out_file, r.independent_set);
-  } else if (a == "maxis-alg3") {
-    const auto r =
-        run_coloring_maxis(g, nw, ColoringSource::kLinial, opt.seed);
-    std::cout << "IS size " << r.independent_set.size() << " weight "
-              << set_weight(nw, r.independent_set) << " ("
-              << r.num_colors << " colors)\n";
-    std::cout << "  coloring:";
-    print_metrics(r.coloring_metrics);
-    std::cout << "  selection:";
-    print_metrics(r.maxis_metrics);
-    write_ids(opt.out_file, r.independent_set);
-  } else if (a == "mwm-lr") {
-    const auto r = run_lr_matching(g, ew, opt.seed);
-    std::cout << "matching size " << r.matching.size() << " weight "
-              << matching_weight(ew, r.matching) << "\n";
-    print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
-  } else if (a == "mwm-lr-det") {
-    const auto r = run_lr_matching_deterministic(g, ew);
-    std::cout << "matching size " << r.matching.size() << " weight "
-              << matching_weight(ew, r.matching) << " (" << r.num_colors
-              << " line colors)\n";
-    std::cout << "  coloring:";
-    print_metrics(r.coloring_metrics);
-    std::cout << "  matching:";
-    print_metrics(r.matching_metrics);
-    write_edges(opt.out_file, r.matching);
-  } else if (a == "mcm-2eps") {
-    Nmm2EpsParams p;
-    p.epsilon = opt.eps;
-    const auto r = run_nmm_2eps_matching(g, opt.seed, p);
-    std::cout << "matching size " << r.matching.size() << " ("
-              << r.super_rounds << " super-rounds, "
-              << r.undecided_edges.size() << " undecided edges)\n";
-    print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
-  } else if (a == "mwm-2eps") {
-    Weighted2EpsParams p;
-    p.epsilon = opt.eps;
-    const auto r = run_weighted_2eps_matching(g, ew, opt.seed, p);
-    std::cout << "matching size " << r.matching.size() << " weight "
-              << matching_weight(ew, r.matching) << " ("
-              << r.rounds_parallel << " parallel rounds)\n";
-    write_edges(opt.out_file, r.matching);
-  } else if (a == "mcm-1eps") {
-    McmCongestParams p;
-    p.epsilon = opt.eps;
-    const auto r = run_mcm_1eps_congest(g, opt.seed, p);
-    std::cout << "matching size " << r.matching.size() << " over "
-              << r.stages << " stages (" << r.deactivated.size()
-              << " deactivated, ~" << r.rounds << " rounds)\n";
-    write_edges(opt.out_file, r.matching);
-  } else if (a == "proposal") {
-    ProposalParams p;
-    p.epsilon = opt.eps;
-    const auto r = run_proposal_matching(g, opt.seed, p);
-    std::cout << "matching size " << r.matching.size() << "\n";
-    print_metrics(r.metrics);
-    write_edges(opt.out_file, r.matching);
-  } else {
-    usage_error("unknown algorithm " + a);
-  }
-  } catch (const EnsureError& e) {
-    // A violated invariant (e.g. a CONGEST cap breach) is a diagnostic,
-    // not a crash.
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return run_single(argc, argv);
 }
