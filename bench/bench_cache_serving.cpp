@@ -2,7 +2,7 @@
 // run served from disk).
 //
 // The local-ratio algorithms are deterministic functions of (spec, seed),
-// so a warm cache replays a whole mixed workload from 97-byte entries —
+// so a warm cache replays a whole mixed workload from 105-byte entries —
 // the recomputation-avoidance lever the ISSUE names. The contract checked
 // here is twofold: warm rows are bit-identical to cold rows (cache hits
 // may never change results), and warm serving clears a conservative 5x
@@ -250,12 +250,13 @@ void snapshot_open() {
                                static_cast<std::uint64_t>(count + 1) *
                                    service::entry_file_size());
     service::JobSpec spec = job("bench-open", "gnp:60:0.08", "luby", 1);
+    const service::GraphFacts facts = service::resolve_job(spec).facts;
     for (int i = 0; i < count; ++i) {
       service::RunRow row;
       row.seed = static_cast<std::uint64_t>(i);
       row.rounds = 5;
       row.completed = true;
-      cache.store(service::run_fingerprint(spec, row.seed), row);
+      cache.store(service::run_fingerprint(spec, row.seed), row, facts);
     }
     cache.manager()->checkpoint();
   };

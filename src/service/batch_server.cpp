@@ -20,7 +20,11 @@
 
 namespace distapx::service {
 
-ResolvedJob resolve_job(JobSpec spec) {
+namespace {
+
+/// Validation and the cache key prefix: everything key-first serving needs
+/// before it knows whether the workload must be built at all.
+ResolvedJob describe_job(JobSpec spec) {
   // Validate before materializing anything: a typo'd algorithm must not
   // cost a multi-million-edge graph generation first.
   const Algorithm& algorithm = validate_job_spec(spec);
@@ -29,7 +33,10 @@ ResolvedJob resolve_job(JobSpec spec) {
   job.spec = std::move(spec);
   job.algorithm = &algorithm;
   job.cache_key_prefix = job_fingerprinter(job.spec);
+  return job;
+}
 
+void materialize_job(ResolvedJob& job) {
   // One RNG stream seeds the generator and then the weights, so a job's
   // workload is a pure function of (source, gseed, maxw).
   Rng rng(hash_combine(job.spec.graph_seed, 0xc11));
@@ -47,12 +54,27 @@ ResolvedJob resolve_job(JobSpec spec) {
       loaded_ew ? std::move(*loaded_ew)
                 : gen::uniform_edge_weights(job.graph.num_edges(),
                                             job.spec.max_w, rng);
+  job.facts = {job.graph.num_nodes(), job.graph.num_edges(),
+               job.graph.max_degree()};
+  job.materialized = true;
+}
+
+}  // namespace
+
+ResolvedJob resolve_job(JobSpec spec) {
+  ResolvedJob job = describe_job(std::move(spec));
+  materialize_job(job);
   return job;
 }
 
 std::size_t BatchServer::submit(JobSpec spec) {
   if (spec.name.empty()) spec.name = "job" + std::to_string(jobs_.size());
-  jobs_.push_back(resolve_job(std::move(spec)));
+  if (opts_.cache != nullptr) {
+    jobs_.push_back(describe_job(std::move(spec)));
+  } else {
+    jobs_.push_back(resolve_job(std::move(spec)));
+    ++built_at_submit_;
+  }
   return jobs_.size() - 1;
 }
 
@@ -70,9 +92,13 @@ BatchResult BatchServer::serve() {
   };
   std::vector<Unit> units;
   std::vector<std::vector<RunRow>> rows(jobs_.size());
+  // The facts each cache hit carries; per unit, so workers never share a
+  // slot. A job that was never built reports them instead of its graph's.
+  std::vector<std::vector<GraphFacts>> hit_facts(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const std::uint32_t n_seeds = jobs_[j].spec.num_seeds;
     rows[j].resize(n_seeds);
+    hit_facts[j].resize(n_seeds);
     for (std::uint32_t r = 0; r < n_seeds; ++r) {
       units.push_back({static_cast<std::uint32_t>(j), r});
     }
@@ -91,6 +117,10 @@ BatchResult BatchServer::serve() {
       opts_.registry != nullptr ? *opts_.registry : local_registry;
   metrics::Counter& runs_total = reg.counter("runs_total");
   metrics::Counter& runs_computed = reg.counter("runs_computed_total");
+  metrics::Counter& jobs_materialized = reg.counter("jobs_materialized_total");
+  const std::uint64_t built_eagerly = std::exchange(built_at_submit_, 0);
+  jobs_materialized.inc(built_eagerly);
+  std::atomic<std::uint64_t> materialized{built_eagerly};
   // Per-job histogram handles resolved once, outside the unit loop: the
   // registry lookup (mutex + map walk) must not sit on the per-seed path.
   std::vector<metrics::Histogram*> job_hist(jobs_.size());
@@ -104,6 +134,20 @@ BatchResult BatchServer::serve() {
   std::atomic<std::uint64_t> cache_hits{0};
   std::mutex error_mu;
   std::exception_ptr error;
+  // Key-first: a job's workload is built by its first missed unit, once;
+  // units of the same job wait for it, other jobs build concurrently.
+  std::vector<std::once_flag> built(jobs_.size());
+  auto ensure_materialized = [&](std::uint32_t job_index) {
+    std::call_once(built[job_index], [&] {
+      ResolvedJob& job = jobs_[job_index];
+      if (job.materialized) return;  // built by submit() or a prior serve()
+      trace::ScopedSpan span("materialize");
+      span.annotate("job", job.spec.name);
+      materialize_job(job);
+      materialized.fetch_add(1, std::memory_order_relaxed);
+      jobs_materialized.inc();
+    });
+  };
   auto timed_dispatch = [&](const ResolvedJob& job, NetworkLease& lease,
                             std::uint64_t seed, std::uint32_t job_index) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -129,43 +173,40 @@ BatchResult BatchServer::serve() {
       try {
         const std::uint64_t seed = job.spec.seed_at(u.run);
         runs_total.inc();
+        std::optional<Fingerprint> key;
         if (opts_.cache != nullptr) {
-          const Fingerprint key =
-              run_fingerprint(job.cache_key_prefix, seed);
-          bool hit = false;
+          key = run_fingerprint(job.cache_key_prefix, seed);
+          std::optional<CachedRun> cached;
           {
             trace::ScopedSpan span("cache-lookup");
             span.annotate("seed", seed);
-            if (auto cached = opts_.cache->lookup(key)) {
-              rows[u.job][u.run] = *cached;
-              hit = true;
-            }
+            cached = opts_.cache->lookup(*key);
           }
-          if (hit) {
+          if (cached) {
+            rows[u.job][u.run] = cached->row;
+            hit_facts[u.job][u.run] = cached->facts;
             cache_hits.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          {
-            trace::ScopedSpan span("compute");
-            span.annotate("algo", job.spec.algorithm);
-            span.annotate("seed", seed);
-            rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
-          }
+          ensure_materialized(u.job);
+        }
+        {
+          trace::ScopedSpan span("compute");
+          span.annotate("algo", job.spec.algorithm);
+          span.annotate("seed", seed);
+          rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
+        }
+        if (key) {
           try {
             trace::ScopedSpan span("cache-store");
             span.annotate("seed", seed);
-            opts_.cache->store(key, rows[u.job][u.run]);
+            opts_.cache->store(*key, rows[u.job][u.run], job.facts);
           } catch (const JobError&) {
             // A fill failure (disk full, unwritable cache dir) degrades
             // this unit to uncached serving; the computed row is already
             // in hand and must not be discarded, let alone fail the
             // batch. The next lookup of this key simply misses again.
           }
-        } else {
-          trace::ScopedSpan span("compute");
-          span.annotate("algo", job.spec.algorithm);
-          span.annotate("seed", seed);
-          rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
         }
       } catch (...) {
         {
@@ -190,21 +231,25 @@ BatchResult BatchServer::serve() {
 
   BatchResult result;
   result.cache_hits = cache_hits.load(std::memory_order_relaxed);
+  result.materialized = materialized.load(std::memory_order_relaxed);
   result.threads_used = workers;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   result.jobs.reserve(jobs_.size());
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const ResolvedJob& job = jobs_[j];
+    ResolvedJob& job = jobs_[j];
+    // Every seed of an unbuilt job hit (a miss would have built it), and
+    // validation guarantees at least one seed.
+    if (!job.materialized) job.facts = hit_facts[j].front();
     JobResult jr;
     jr.name = job.spec.name;
     jr.algorithm = job.spec.algorithm;
     jr.source = !job.spec.gen_spec.empty() ? job.spec.gen_spec
                                            : job.spec.graph_file;
-    jr.n = job.graph.num_nodes();
-    jr.m = job.graph.num_edges();
-    jr.max_degree = job.graph.max_degree();
+    jr.n = job.facts.n;
+    jr.m = job.facts.m;
+    jr.max_degree = job.facts.max_degree;
     jr.rows = std::move(rows[j]);
 
     Summary rounds, messages, bits, objective;

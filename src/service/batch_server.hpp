@@ -45,22 +45,37 @@ struct RunRow {
   friend bool operator==(const RunRow&, const RunRow&) = default;
 };
 
+/// The workload facts a summary row reports. Cache entries carry them next
+/// to their RunRow (result_cache.hpp), so a job served entirely from hits
+/// reports them without building its graph.
+struct GraphFacts {
+  NodeId n = 0;
+  EdgeId m = 0;
+  std::uint32_t max_degree = 0;
+
+  friend bool operator==(const GraphFacts&, const GraphFacts&) = default;
+};
+
 struct RunDetail;  // service/algorithms.hpp
 
-/// A JobSpec with its workload materialized: the graph is generated or
-/// loaded once (deterministically from spec.graph_seed) and weights are
-/// sampled once. Per-seed execution runs the registry entry looked up at
-/// resolution (service/algorithms.hpp).
+/// A validated JobSpec and, once materialized, its workload: the graph is
+/// generated or loaded once (deterministically from spec.graph_seed) and
+/// weights are sampled once. Per-seed execution runs the registry entry
+/// looked up at resolution (service/algorithms.hpp).
 struct ResolvedJob {
   JobSpec spec;
   const Algorithm* algorithm = nullptr;  ///< the entry for spec.algorithm
-  Graph graph;
-  NodeWeights node_weights;
-  EdgeWeights edge_weights;
   /// Per-job result-cache key prefix (job_fingerprinter, result_cache.hpp)
   /// — per-seed keys absorb just the seed instead of re-canonicalizing the
   /// spec on every unit.
   Fingerprinter cache_key_prefix;
+  /// n, m and Δ: from the built graph, or from the cache entries of a job
+  /// that was served without building it.
+  GraphFacts facts;
+  bool materialized = false;  ///< graph and weights below are built
+  Graph graph;
+  NodeWeights node_weights;
+  EdgeWeights edge_weights;
 };
 
 /// Validates (validate_job_spec) and materializes a spec. Throws JobError
@@ -109,6 +124,9 @@ struct BatchResult {
   std::uint64_t total_runs = 0;
   std::uint64_t cache_hits = 0;  ///< runs served from the result cache
   std::uint64_t computed = 0;    ///< runs actually executed
+  /// Jobs whose workload (graph + weights) was built for this batch. With
+  /// a cache attached, only jobs with at least one missed seed are built.
+  std::uint64_t materialized = 0;
   unsigned threads_used = 0;
   double wall_seconds = 0;  ///< timing only; excluded from determinism
 };
@@ -121,18 +139,23 @@ struct BatchOptions {
   /// Optional result cache: hits skip execution, misses are computed and
   /// filled. Rows are bit-identical either way (the cache stores the full
   /// RunRow keyed on everything it depends on — see result_cache.hpp).
+  /// With a cache, resolution is key-first: submit() only validates, and
+  /// serve() builds a job's workload only when one of its seeds misses, so
+  /// a fully cached job never generates or opens its graph.
   /// Open the cache with a byte budget (ResultCache's second constructor
   /// argument, the CLI's --cache-budget) to keep it LRU-bounded while
   /// serving. Not owned; must outlive serve().
   ResultCache* cache = nullptr;
   /// Metrics destination: per-algorithm run_latency_ms histograms and the
-  /// runs_total / runs_computed_total counters. Null = metrics are
-  /// dropped (pure batch CLI runs pay nothing); the serving tiers pass
-  /// their process registry. Not owned; must outlive serve().
+  /// runs_total / runs_computed_total / jobs_materialized_total counters.
+  /// Null = metrics are dropped (pure batch CLI runs pay nothing); the
+  /// serving tiers pass their process registry. Not owned; must outlive
+  /// serve().
   metrics::Registry* registry = nullptr;
   /// Span destination: each (job, seed) unit records cache-lookup /
-  /// compute / cache-store child spans under `trace_parent` (the caller's
-  /// open span — the socket lane's lane-execute, the daemon's file span).
+  /// compute / cache-store child spans, and each job built during serve() a
+  /// materialize span, under `trace_parent` (the caller's open span — the
+  /// socket lane's lane-execute, the daemon's file span).
   /// Null = no tracing. Not owned; must outlive serve(). The collector is
   /// thread-safe, so all workers share it.
   trace::Collector* trace = nullptr;
@@ -149,8 +172,10 @@ class BatchServer {
  public:
   explicit BatchServer(BatchOptions opts = {}) : opts_(opts) {}
 
-  /// Materializes and enqueues a job; returns its index. Throws on a spec
-  /// that cannot be resolved (nothing is partially enqueued).
+  /// Validates and enqueues a job; returns its index. Without a cache the
+  /// workload is materialized here too. Throws on a spec that cannot be
+  /// resolved (nothing is partially enqueued); with a cache, an unreadable
+  /// graph file only fails serve(), and only if one of its seeds misses.
   std::size_t submit(JobSpec spec);
 
   /// Convenience: submit every job of a parsed file.
@@ -162,14 +187,17 @@ class BatchServer {
   }
 
   /// Runs every remaining (job, seed) unit to completion and returns the
-  /// structured results. Rethrows the first per-run exception after the
-  /// pool drains. May be called once per submitted batch; jobs stay
-  /// submitted, so a second serve() re-runs the same batch.
+  /// structured results. With a cache, each unit looks up its key first;
+  /// the first miss of a job materializes that job (once, in the pool).
+  /// Rethrows the first per-run exception after the pool drains. May be
+  /// called once per submitted batch; jobs stay submitted, so a second
+  /// serve() re-runs the same batch.
   BatchResult serve();
 
  private:
   BatchOptions opts_;
   std::vector<ResolvedJob> jobs_;
+  std::uint64_t built_at_submit_ = 0;  ///< not yet counted by a serve()
 };
 
 // ---- report emission (console / CSV / JSON via support/table) ------------

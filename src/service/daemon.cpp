@@ -196,6 +196,7 @@ JobFileReport Daemon::process_file(const std::string& path) {
     report.runs = result.total_runs;
     report.cache_hits = result.cache_hits;
     report.computed = result.computed;
+    report.materialized = result.materialized;
     report.wall_seconds = result.wall_seconds;
 
     // Publish results before moving the job file: a crash between the two
@@ -230,6 +231,7 @@ JobFileReport Daemon::process_file(const std::string& path) {
                                    {"runs", report.runs},
                                    {"cache_hits", report.cache_hits},
                                    {"computed", report.computed},
+                                   {"materialized", report.materialized},
                                    {"trace", trace_id}});
     finish_trace("served");
   } catch (const failpoint::Failure&) {

@@ -107,6 +107,7 @@ struct JobFileReport {
   std::uint64_t runs = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t computed = 0;
+  std::uint64_t materialized = 0;  ///< jobs whose graph was built
   double wall_seconds = 0;
 
   [[nodiscard]] double hit_rate() const {

@@ -71,6 +71,7 @@ const Algorithm& validate_job_spec(const JobSpec& spec) {
   if (spec.gen_spec.empty() == spec.graph_file.empty()) {
     fail("exactly one of gen= / file= is required");
   }
+  if (spec.num_seeds == 0) fail("a job needs at least one seed");
   return *algorithm;
 }
 

@@ -69,10 +69,11 @@ struct JobSpec {
 struct Algorithm;  // service/algorithms.hpp
 
 /// Checks what every job needs regardless of how it was written — a
-/// registered algorithm, exactly one graph source, eps > 0, maxw > 0 —
-/// and returns the algorithm's registry entry. Throws JobError. Both
-/// parse_job_line and resolve_job call it, so a spec built in code (the
-/// CLI single run) fails the same way a job-file line does.
+/// registered algorithm, exactly one graph source, eps > 0, maxw > 0, at
+/// least one seed — and returns the algorithm's registry entry. Throws
+/// JobError. Both parse_job_line and BatchServer::submit call it, so a spec
+/// built in code (the CLI single run) fails the same way a job-file line
+/// does.
 const Algorithm& validate_job_spec(const JobSpec& spec);
 
 /// Parses one job line (no comment handling). Throws JobError.

@@ -21,7 +21,8 @@ namespace {
 
 constexpr char kMagic[4] = {'D', 'X', 'R', 'C'};
 /// Guards deserialization only; kEngineVersion guards run semantics.
-constexpr std::uint32_t kFormatVersion = 1;
+/// 2 added the graph facts (n, m, Δ) after the row.
+constexpr std::uint32_t kFormatVersion = 2;
 
 /// Explicit little-endian packing: entries must be readable across
 /// platforms regardless of host endianness or struct layout.
@@ -45,11 +46,14 @@ std::uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
-// magic + format + engine + key(16) + row(53) + checksum(16)
-constexpr std::size_t kRowBytes = 8 + 4 + 8 + 8 + 4 + 1 + 8 + 8 + 4;
-constexpr std::size_t kEntryBytes = 4 + 4 + 4 + 16 + kRowBytes + 16;
+// magic + format + engine + key(16) + row(49) + facts(12) + checksum(16)
+constexpr std::size_t kRowBytes = 8 + 4 + 8 + 8 + 4 + 1 + 8 + 8;
+constexpr std::size_t kFactsBytes = 4 + 4 + 4;
+constexpr std::size_t kEntryBytes =
+    4 + 4 + 4 + 16 + kRowBytes + kFactsBytes + 16;
 
-std::vector<unsigned char> encode(const Fingerprint& key, const RunRow& row) {
+std::vector<unsigned char> encode(const Fingerprint& key, const RunRow& row,
+                                  const GraphFacts& facts) {
   std::vector<unsigned char> buf;
   buf.reserve(kEntryBytes);
   buf.insert(buf.end(), kMagic, kMagic + 4);
@@ -65,21 +69,26 @@ std::vector<unsigned char> encode(const Fingerprint& key, const RunRow& row) {
   buf.push_back(row.completed ? 1 : 0);
   put_u64(buf, row.solution_size);
   put_u64(buf, static_cast<std::uint64_t>(row.objective));
-  put_u32(buf, 0);  // reserved
+  put_u32(buf, facts.n);
+  put_u32(buf, facts.m);
+  put_u32(buf, facts.max_degree);
   const Fingerprint sum = fingerprint_bytes(buf.data(), buf.size());
   put_u64(buf, sum.hi);
   put_u64(buf, sum.lo);
   return buf;
 }
 
-/// Full validation of an in-memory entry image: length, magic, versions,
-/// key echo, checksum — reported as the first failing check.
+/// Full validation of an in-memory entry image: magic, format version,
+/// length, engine version, key echo, checksum — reported as the first
+/// failing check. The format is checked before the length because each
+/// format has its own length: an entry of another format is kBadFormat.
 EntryStatus decode(const std::vector<unsigned char>& buf,
-                   const Fingerprint& key, RunRow* row_out) {
-  if (buf.size() != kEntryBytes) return EntryStatus::kBadLength;
+                   const Fingerprint& key, CachedRun* out) {
   const unsigned char* p = buf.data();
+  if (buf.size() < 8) return EntryStatus::kBadLength;
   if (std::memcmp(p, kMagic, 4) != 0) return EntryStatus::kBadMagic;
   if (get_u32(p + 4) != kFormatVersion) return EntryStatus::kBadFormat;
+  if (buf.size() != kEntryBytes) return EntryStatus::kBadLength;
   if (get_u32(p + 8) != kEngineVersion) return EntryStatus::kBadEngine;
   if (get_u64(p + 12) != key.hi || get_u64(p + 20) != key.lo) {
     return EntryStatus::kKeyMismatch;
@@ -89,8 +98,8 @@ EntryStatus decode(const std::vector<unsigned char>& buf,
   if (get_u64(p + body) != sum.hi || get_u64(p + body + 8) != sum.lo) {
     return EntryStatus::kBadChecksum;
   }
-  if (row_out != nullptr) {
-    RunRow row;
+  if (out != nullptr) {
+    RunRow& row = out->row;
     p += 28;
     row.seed = get_u64(p);
     row.rounds = get_u32(p + 8);
@@ -100,7 +109,8 @@ EntryStatus decode(const std::vector<unsigned char>& buf,
     row.completed = p[32] != 0;
     row.solution_size = get_u64(p + 33);
     row.objective = static_cast<Weight>(get_u64(p + 41));
-    *row_out = row;
+    p += kRowBytes;
+    out->facts = {get_u32(p), get_u32(p + 4), get_u32(p + 8)};
   }
   return EntryStatus::kOk;
 }
@@ -132,7 +142,7 @@ const char* entry_status_name(EntryStatus s) noexcept {
 std::size_t entry_file_size() noexcept { return kEntryBytes; }
 
 EntryStatus check_entry_file(const std::string& path, const Fingerprint& key,
-                             RunRow* row_out) {
+                             CachedRun* out) {
   std::ifstream is(path, std::ios::binary);
   if (!is) {
     // ifstream reports EACCES exactly like ENOENT; a file that *exists*
@@ -161,7 +171,7 @@ EntryStatus check_entry_file(const std::string& path, const Fingerprint& key,
     if (n == 0) return EntryStatus::kIoError;  // no progress, no EOF
   }
   buf.resize(got);
-  return decode(buf, key, row_out);
+  return decode(buf, key, out);
 }
 
 std::string cache_entry_path(const std::string& dir, const Fingerprint& key) {
@@ -273,9 +283,9 @@ std::string ResultCache::entry_path(const Fingerprint& key) const {
   return cache_entry_path(dir_, key);
 }
 
-std::optional<RunRow> ResultCache::lookup(const Fingerprint& key) {
-  RunRow row;
-  const EntryStatus status = check_entry_file(entry_path(key), key, &row);
+std::optional<CachedRun> ResultCache::lookup(const Fingerprint& key) {
+  CachedRun entry;
+  const EntryStatus status = check_entry_file(entry_path(key), key, &entry);
   if (status == EntryStatus::kOk) {
     hits_.inc();
     trace::annotate_current("outcome", "hit");
@@ -288,7 +298,7 @@ std::optional<RunRow> ResultCache::lookup(const Fingerprint& key) {
       // as the hit streak lasts.
       enforce_budget();
     }
-    return row;
+    return entry;
   }
   if (status != EntryStatus::kMissing) {
     // The entry existed but failed validation: corrupt, truncated, or a
@@ -303,7 +313,8 @@ std::optional<RunRow> ResultCache::lookup(const Fingerprint& key) {
   return std::nullopt;
 }
 
-void ResultCache::store(const Fingerprint& key, const RunRow& row) {
+void ResultCache::store(const Fingerprint& key, const RunRow& row,
+                        const GraphFacts& facts) {
   const std::string path = entry_path(key);
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
@@ -312,7 +323,7 @@ void ResultCache::store(const Fingerprint& key, const RunRow& row) {
   const std::string tmp =
       path + ".tmp." + std::to_string(::getpid()) + "." +
       std::to_string(temp_counter_.fetch_add(1, std::memory_order_relaxed));
-  const auto buf = encode(key, row);
+  const auto buf = encode(key, row, facts);
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     os.write(reinterpret_cast<const char*>(buf.data()),

@@ -19,9 +19,11 @@
 // into place, so readers never observe a partial entry and concurrent
 // fills of the same key are safe (last rename wins; the content is
 // identical by construction). Every entry carries magic, format + engine
-// versions, the full key, and a trailing checksum; lookup() treats any
-// mismatch — corruption, truncation, foreign file, stale version — as a
-// miss, so the worst failure mode is recomputation.
+// versions, the full key, the RunRow, the job's graph facts (n, m, Δ, so a
+// fully cached job reports its summary row without building its graph),
+// and a trailing checksum; lookup() treats any mismatch — corruption,
+// truncation, foreign file, stale version — as a miss, so the worst
+// failure mode is recomputation.
 //
 // Lifecycle (size budgets, LRU eviction, verify/repair) lives in
 // service/cache_manager.hpp; opening a ResultCache with a nonzero budget
@@ -50,7 +52,7 @@ inline constexpr std::uint32_t kEngineVersion = 3;
 
 /// Accumulator over everything a RunRow depends on *except* the run seed:
 /// engine version, algorithm, canonical workload source, gseed, maxw,
-/// policy, eps, rounds. Per-job constant — compute it once (resolve_job
+/// policy, eps, rounds. Per-job constant — compute it once (submit()
 /// stores it on the ResolvedJob) and derive per-seed keys from it. Throws
 /// gen::SpecError on an invalid generator spec.
 Fingerprinter job_fingerprinter(const JobSpec& spec);
@@ -82,6 +84,12 @@ CacheStats cache_stats_from(const metrics::Snapshot& snap);
 
 // ---- entry-file machinery (shared with the cache manager) ----------------
 
+/// One entry's payload: a run's row and its job's graph facts.
+struct CachedRun {
+  RunRow row;
+  GraphFacts facts;
+};
+
 /// Classification of one on-disk entry file. lookup() folds every non-kOk
 /// outcome into a miss; CacheManager::verify reports the reason and
 /// quarantines/deletes the file.
@@ -89,7 +97,7 @@ enum class EntryStatus {
   kOk,
   kMissing,      ///< no file at the path
   kIoError,      ///< the file exists but could not be read
-  kBadLength,    ///< short (truncated) or long (foreign/garbage) file
+  kBadLength,    ///< short (truncated) or long (garbage appended) file
   kBadMagic,     ///< not a cache entry at all
   kBadFormat,    ///< written by an incompatible serializer version
   kBadEngine,    ///< written by an older/newer engine (stale semantics)
@@ -106,10 +114,10 @@ std::size_t entry_file_size() noexcept;
 /// Reads and fully validates one entry file against `key`: explicit
 /// short-read/EOF handling (a file truncated at any byte boundary is
 /// kBadLength, an unreadable one kIoError — never misclassified), then
-/// magic/format/engine/key-echo/checksum. On kOk the decoded row is
-/// written to `row_out` when non-null.
+/// magic/format/engine/key-echo/checksum. On kOk the decoded entry is
+/// written to `out` when non-null.
 EntryStatus check_entry_file(const std::string& path, const Fingerprint& key,
-                             RunRow* row_out = nullptr);
+                             CachedRun* out = nullptr);
 
 /// The entry path `key` maps to under `dir`: <dir>/<hh>/<hex30>.rr,
 /// two-level fan-out on the first two hex digits. The hex overload is the
@@ -151,14 +159,15 @@ class ResultCache {
   /// Null when the cache was opened without a budget.
   [[nodiscard]] CacheManager* manager() noexcept { return manager_.get(); }
 
-  /// Returns the cached row, or nullopt on miss / invalid entry. Safe to
-  /// call concurrently with lookups and stores from other threads and
-  /// processes.
-  std::optional<RunRow> lookup(const Fingerprint& key);
+  /// Returns the cached row and graph facts, or nullopt on miss / invalid
+  /// entry. Safe to call concurrently with lookups and stores from other
+  /// threads and processes.
+  std::optional<CachedRun> lookup(const Fingerprint& key);
 
-  /// Persists a row under `key` (atomic write-then-rename). Concurrent
-  /// stores of the same key are safe.
-  void store(const Fingerprint& key, const RunRow& row);
+  /// Persists a row and its job's graph facts under `key` (atomic
+  /// write-then-rename). Concurrent stores of the same key are safe.
+  void store(const Fingerprint& key, const RunRow& row,
+             const GraphFacts& facts);
 
   [[nodiscard]] CacheStats stats() const noexcept;
   void reset_stats() noexcept;

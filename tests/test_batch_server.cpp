@@ -7,17 +7,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string_view>
 
+#include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "mis/luby.hpp"
 #include "mis/mis.hpp"
 #include "service/algorithms.hpp"
 #include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
+#include "service/result_cache.hpp"
 #include "sim/run_many.hpp"
 #include "support/assert.hpp"
+#include "support/metrics.hpp"
 #include "support/table.hpp"
+#include "test_helpers.hpp"
 
 namespace distapx {
 namespace {
@@ -370,6 +376,158 @@ TEST(BatchServer, ServeTwiceIsIdempotent) {
   const auto first = server.serve();
   const auto second = server.serve();
   expect_same_rows(first, second);
+}
+
+// ---- key-first resolution with a result cache -------------------------------
+//
+// With a cache attached, submit() only validates; serve() looks every seed
+// up first and builds a job's graph only when one of its seeds misses. A
+// fully cached job reports n/m/Δ from its cache entries.
+
+using test::ScopedTempDir;
+
+std::string csv_of(const Table& t) {
+  std::ostringstream os;
+  t.write_csv(os);
+  return os.str();
+}
+
+service::BatchResult serve_cached(const std::vector<service::JobSpec>& jobs,
+                                  service::ResultCache& cache,
+                                  metrics::Registry* registry = nullptr) {
+  service::BatchOptions opts;
+  opts.threads = 4;
+  opts.cache = &cache;
+  opts.registry = registry;
+  service::BatchServer server(opts);
+  server.submit_all(jobs);
+  return server.serve();
+}
+
+TEST(KeyFirst, WarmServeBuildsNoGraphAndReportsIdenticalTables) {
+  const ScopedTempDir dir("distapx-keyfirst-warm");
+  service::ResultCache cache(dir.str());
+  const auto uncached = serve_mixed(4);
+  EXPECT_EQ(uncached.materialized, 4u);  // eager: every job, at submit
+
+  const auto cold = serve_cached(mixed_jobs(), cache);
+  EXPECT_EQ(cold.materialized, 4u);
+  EXPECT_EQ(cold.computed, cold.total_runs);
+
+  metrics::Registry registry;
+  const auto warm = serve_cached(mixed_jobs(), cache, &registry);
+  EXPECT_EQ(warm.materialized, 0u);
+  EXPECT_EQ(warm.cache_hits, warm.total_runs);
+  EXPECT_EQ(registry.counter("jobs_materialized_total").value(), 0u);
+
+  // Byte-identical tables, n/m/maxdeg included, cold and warm.
+  for (const auto* r : {&cold, &warm}) {
+    EXPECT_EQ(csv_of(service::summary_table(*r)),
+              csv_of(service::summary_table(uncached)));
+    EXPECT_EQ(csv_of(service::runs_table(*r)),
+              csv_of(service::runs_table(uncached)));
+  }
+  EXPECT_GT(warm.jobs[0].n, 0u);
+  EXPECT_GT(warm.jobs[0].m, 0u);
+}
+
+TEST(KeyFirst, MixedHitsAndMissesBuildOnceAndComputeOnlyTheMisses) {
+  const ScopedTempDir dir("distapx-keyfirst-mixed");
+  service::ResultCache cache(dir.str());
+  auto spec = mixed_jobs()[1];  // maxis-alg2: weights matter
+  spec.num_seeds = 2;
+  (void)serve_cached({spec}, cache);  // fills seeds 3 and 4
+
+  spec.num_seeds = 6;  // seeds 3..8: two hits, four misses
+  metrics::Registry registry;
+  const auto mixed = serve_cached({spec}, cache, &registry);
+  EXPECT_EQ(mixed.cache_hits, 2u);
+  EXPECT_EQ(mixed.computed, 4u);
+  EXPECT_EQ(mixed.materialized, 1u);
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_or("jobs_materialized_total"), 1u);
+  EXPECT_EQ(snap.counter_or("runs_computed_total"), 4u);
+
+  service::BatchServer plain({4});
+  plain.submit(spec);
+  const auto uncached = plain.serve();
+  EXPECT_EQ(mixed.jobs[0].rows, uncached.jobs[0].rows);
+  EXPECT_EQ(csv_of(service::summary_table(mixed)),
+            csv_of(service::summary_table(uncached)));
+}
+
+TEST(KeyFirst, SecondServeOnTheSameServerReRunsTheBatch) {
+  const ScopedTempDir dir("distapx-keyfirst-twice");
+  service::ResultCache cache(dir.str());
+  service::BatchOptions opts;
+  opts.threads = 4;
+  opts.cache = &cache;
+  service::BatchServer server(opts);
+  server.submit_all(mixed_jobs());
+  const auto first = server.serve();
+  const auto second = server.serve();
+  EXPECT_EQ(first.computed, first.total_runs);
+  EXPECT_EQ(first.materialized, 4u);
+  EXPECT_EQ(second.total_runs, first.total_runs);
+  EXPECT_EQ(second.cache_hits, second.total_runs);
+  EXPECT_EQ(second.materialized, 0u);
+  expect_same_rows(first, second);
+  EXPECT_EQ(csv_of(service::summary_table(first)),
+            csv_of(service::summary_table(second)));
+}
+
+/// A job over a graph file that the test deletes between serves.
+class KeyFirstGraphFile : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::filesystem::create_directories(dir_.path);
+    Rng rng(5);
+    io::save_edge_list(graph_path_, gen::gnp(80, 0.06, rng));
+    spec_.name = "file-luby";
+    spec_.graph_file = graph_path_;
+    spec_.algorithm = "luby";
+    spec_.num_seeds = 3;
+  }
+
+  ScopedTempDir dir_{"distapx-keyfirst-file"};
+  std::string graph_path_ = (dir_.path / "g.graph").string();
+  service::JobSpec spec_;
+};
+
+TEST_F(KeyFirstGraphFile, WithoutACacheAMissingFileFailsSubmit) {
+  std::filesystem::remove(graph_path_);
+  service::BatchServer server({2});
+  EXPECT_THROW(server.submit(spec_), std::exception);
+  EXPECT_EQ(server.num_jobs(), 0u);
+}
+
+TEST_F(KeyFirstGraphFile, AllHitsNeverOpenTheGraphFile) {
+  service::ResultCache cache((dir_.path / "cache").string());
+  const auto cold = serve_cached({spec_}, cache);
+  ASSERT_EQ(cold.materialized, 1u);
+  // Graph files are immutable by contract (keyed on path); a fully cached
+  // job must not even notice that this one is gone.
+  std::filesystem::remove(graph_path_);
+  const auto warm = serve_cached({spec_}, cache);
+  EXPECT_EQ(warm.materialized, 0u);
+  EXPECT_EQ(warm.cache_hits, 3u);
+  EXPECT_EQ(csv_of(service::summary_table(warm)),
+            csv_of(service::summary_table(cold)));
+  EXPECT_EQ(csv_of(service::runs_table(warm)),
+            csv_of(service::runs_table(cold)));
+}
+
+TEST_F(KeyFirstGraphFile, OneMissWithAMissingFileFailsServe) {
+  service::ResultCache cache((dir_.path / "cache").string());
+  spec_.num_seeds = 2;
+  (void)serve_cached({spec_}, cache);
+  std::filesystem::remove(graph_path_);
+  spec_.num_seeds = 3;  // seed 3 misses and needs the graph
+  service::BatchOptions opts;
+  opts.cache = &cache;
+  service::BatchServer server(opts);
+  EXPECT_NO_THROW(server.submit(spec_));
+  EXPECT_THROW(server.serve(), std::exception);
 }
 
 // ---- the algorithm registry -------------------------------------------------

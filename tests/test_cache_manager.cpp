@@ -54,7 +54,7 @@ std::vector<Fingerprint> fill_entries(service::ResultCache& cache,
     row.seed = seed0 + static_cast<std::uint64_t>(i);
     row.rounds = 5;
     row.completed = true;
-    cache.store(key, row);
+    cache.store(key, row, {60, 150, 9});
     keys.push_back(key);
   }
   return keys;

@@ -18,6 +18,7 @@
 
 #include "graph/genspec.hpp"
 #include "service/batch_server.hpp"
+#include "service/cache_manager.hpp"
 #include "service/job_spec.hpp"
 #include "service/result_cache.hpp"
 #include "support/fingerprint.hpp"
@@ -162,21 +163,30 @@ TEST(ResultCache, MissFillHitRoundTrip) {
   row.completed = true;
   row.solution_size = 21;
   row.objective = 1234;
-  cache.store(key, row);
+  // Every facts field at its full u32 width survives the round trip too.
+  const service::GraphFacts facts{60, 0xfffffffeu, 4000000000u};
+  cache.store(key, row, facts);
   EXPECT_EQ(cache.stats().stores, 1u);
 
   const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, row);  // every field, bit for bit
+  EXPECT_EQ(hit->row, row);  // every field, bit for bit
+  EXPECT_EQ(hit->facts, facts);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().rejected, 0u);
+  service::CachedRun decoded;
+  EXPECT_EQ(service::check_entry_file(cache.entry_path(key), key, &decoded),
+            service::EntryStatus::kOk);
+  EXPECT_EQ(decoded.row, row);
+  EXPECT_EQ(decoded.facts, facts);
 
   // Negative objectives survive the int64 round-trip.
   row.objective = -77;
-  cache.store(key, row);
+  cache.store(key, row, facts);
   ASSERT_TRUE(cache.lookup(key).has_value());
-  EXPECT_EQ(cache.lookup(key)->objective, -77);
+  EXPECT_EQ(cache.lookup(key)->row.objective, -77);
 }
+
 
 TEST(ResultCache, WarmReplayBitIdenticalAcrossThreadCounts) {
   const ScopedTempDir dir("distapx-cache-replay");
@@ -216,7 +226,8 @@ TEST(ResultCache, StoreFailureDegradesToUncachedServing) {
   service::JobSpec spec = luby_spec(2);
   const Fingerprint blocked = service::run_fingerprint(spec, spec.seed_at(0));
   fs::create_directories(cache.entry_path(blocked));
-  EXPECT_THROW(cache.store(blocked, service::RunRow{}), service::JobError);
+  EXPECT_THROW(cache.store(blocked, service::RunRow{}, {}),
+               service::JobError);
 
   // The batch must still complete with correct rows — the fill failure
   // degrades that unit to uncached serving instead of aborting the batch.
@@ -244,14 +255,14 @@ TEST(ResultCache, StoreFsyncsPerTheDurabilityKnob) {
   service::RunRow row;
   row.seed = 1;
   row.completed = true;
-  cache.store(service::run_fingerprint(luby_spec(), 1), row);
+  cache.store(service::run_fingerprint(luby_spec(), 1), row, {});
   // Data blocks before the rename, the directory entry after it: at least
   // two syncs per publication.
   EXPECT_GE(fsutil::fsync_total(), before_full + 2);
 
   fsutil::set_durability(fsutil::Durability::kNone);
   const std::uint64_t before_none = fsutil::fsync_total();
-  cache.store(service::run_fingerprint(luby_spec(), 2), row);
+  cache.store(service::run_fingerprint(luby_spec(), 2), row, {});
   EXPECT_EQ(fsutil::fsync_total(), before_none);
   fsutil::set_durability(saved);
 
@@ -274,7 +285,7 @@ class CacheRejection : public ::testing::Test {
     row_.rounds = 5;
     row_.messages = 100;
     row_.completed = true;
-    cache_->store(key_, row_);
+    cache_->store(key_, row_, facts_);
     path_ = cache_->entry_path(key_);
     ASSERT_TRUE(cache_->lookup(key_).has_value());
     cache_->reset_stats();
@@ -298,16 +309,18 @@ class CacheRejection : public ::testing::Test {
     EXPECT_EQ(cache_->stats().rejected, 1u);
     EXPECT_EQ(cache_->stats().misses, 1u);
     EXPECT_EQ(cache_->stats().hits, 0u);
-    cache_->store(key_, row_);  // "recompute" and refill
+    cache_->store(key_, row_, facts_);  // "recompute" and refill
     const auto repaired = cache_->lookup(key_);
     ASSERT_TRUE(repaired.has_value());
-    EXPECT_EQ(*repaired, row_);
+    EXPECT_EQ(repaired->row, row_);
+    EXPECT_EQ(repaired->facts, facts_);
   }
 
   ScopedTempDir dir_{"distapx-cache-reject"};
   std::optional<service::ResultCache> cache_;
   Fingerprint key_;
   service::RunRow row_;
+  service::GraphFacts facts_{60, 140, 11};
   std::string path_;
 };
 
@@ -363,14 +376,17 @@ TEST_F(CacheRejection, EveryTruncationBoundaryRejectedByteByByte) {
   fill();
   const auto good = read_entry();
   ASSERT_EQ(good.size(), service::entry_file_size());
+  // Format 2: magic, format, engine, key(16), row(49), facts n/m/Δ (12),
+  // checksum(16).
+  EXPECT_EQ(good.size(), 105u);
   // A file truncated at *any* byte boundary — including exactly at the
   // header/key/checksum field edges a lazy length check could misread —
   // must reject. Generated byte by byte: every prefix length from 0 to
   // full-1.
   for (std::size_t len = 0; len < good.size(); ++len) {
     write_entry({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(len)});
-    service::RunRow row;
-    EXPECT_EQ(service::check_entry_file(path_, key_, &row),
+    service::CachedRun entry;
+    EXPECT_EQ(service::check_entry_file(path_, key_, &entry),
               service::EntryStatus::kBadLength)
         << "prefix of " << len << " bytes";
     EXPECT_FALSE(cache_->lookup(key_).has_value()) << len << " bytes";
@@ -390,7 +406,8 @@ TEST_F(CacheRejection, EveryTruncationBoundaryRejectedByteByByte) {
   write_entry(good);
   const auto hit = cache_->lookup(key_);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, row_);
+  EXPECT_EQ(hit->row, row_);
+  EXPECT_EQ(hit->facts, facts_);
 }
 
 TEST_F(CacheRejection, CheckEntryFileReportsTheFirstFailingCheck) {
@@ -446,6 +463,93 @@ TEST_F(CacheRejection, EntryRenamedUnderWrongKeyRejected) {
   EXPECT_TRUE(cache_->lookup(key_).has_value());  // original still fine
 }
 
+/// A format-1 entry as the previous serializer wrote it: 97 bytes, the row
+/// followed by a reserved zero word and no graph facts.
+std::vector<char> format_one_entry(const Fingerprint& key,
+                                   const service::RunRow& row) {
+  std::vector<char> out = {'D', 'X', 'R', 'C'};
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(1, 4);
+  put(service::kEngineVersion, 4);
+  put(key.hi, 8);
+  put(key.lo, 8);
+  put(row.seed, 8);
+  put(row.rounds, 4);
+  put(row.messages, 8);
+  put(row.total_bits, 8);
+  put(row.max_edge_bits, 4);
+  put(row.completed ? 1 : 0, 1);
+  put(row.solution_size, 8);
+  put(static_cast<std::uint64_t>(row.objective), 8);
+  put(0, 4);  // reserved
+  const Fingerprint sum = fingerprint_bytes(out.data(), out.size());
+  put(sum.hi, 8);
+  put(sum.lo, 8);
+  return out;
+}
+
+TEST_F(CacheRejection, FormatOneEntryIsBadFormatAndOverwritten) {
+  fill();
+  const auto v1 = format_one_entry(key_, row_);
+  ASSERT_EQ(v1.size(), 97u);
+  write_entry(v1);
+  // A well-formed entry of the old format is classified by its version,
+  // not by its (old) length.
+  EXPECT_EQ(service::check_entry_file(path_, key_, nullptr),
+            service::EntryStatus::kBadFormat);
+  {
+    service::CacheManager manager(dir_.str());
+    const auto report = manager.verify(service::RepairMode::kReport);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_STREQ(service::entry_status_name(report.findings[0].status),
+                 "bad-format");
+  }
+  expect_rejected_then_recomputed();
+  EXPECT_EQ(read_entry().size(), service::entry_file_size());
+}
+
+TEST(ResultCache, FormatOneEntryIsRecomputedWhileServing) {
+  const ScopedTempDir dir("distapx-cache-v1");
+  service::ResultCache cache(dir.str());
+  const auto jobs = mixed_jobs();
+  const auto uncached = serve(jobs, 2);
+  (void)serve(jobs, 2, &cache);  // cold fill
+
+  // Downgrade one entry of the maxis job to the previous format.
+  const service::JobSpec& spec = jobs[3];
+  const Fingerprint key = service::run_fingerprint(spec, spec.seed_at(1));
+  const auto filled = cache.lookup(key);
+  ASSERT_TRUE(filled.has_value());
+  {
+    const auto v1 = format_one_entry(key, filled->row);
+    std::ofstream os(cache.entry_path(key), std::ios::binary | std::ios::trunc);
+    os.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+
+  cache.reset_stats();
+  const auto warm = serve(jobs, 2, &cache);
+  EXPECT_EQ(cache.stats().rejected, 1u);
+  EXPECT_EQ(warm.computed, 1u);
+  EXPECT_EQ(warm.materialized, 1u);  // only the job whose seed missed
+  std::ostringstream a, b, c, d;
+  service::runs_table(uncached).write_csv(a);
+  service::runs_table(warm).write_csv(b);
+  EXPECT_EQ(a.str(), b.str());
+  service::summary_table(uncached).write_csv(c);
+  service::summary_table(warm).write_csv(d);
+  EXPECT_EQ(c.str(), d.str());
+  // The recompute overwrote the stale entry with a current one.
+  service::CachedRun refilled;
+  EXPECT_EQ(service::check_entry_file(cache.entry_path(key), key, &refilled),
+            service::EntryStatus::kOk);
+  EXPECT_EQ(refilled.row, filled->row);
+  EXPECT_EQ(refilled.facts, filled->facts);
+}
+
 // ---- concurrency -----------------------------------------------------------
 
 TEST(ResultCache, ConcurrentFillOfTheSameKeysIsSafe) {
@@ -475,9 +579,9 @@ TEST(ResultCache, ConcurrentFillOfTheSameKeysIsSafe) {
     pool.emplace_back([&, t] {
       for (int rep = 0; rep < 50; ++rep) {
         const int k = (t + rep) % kKeys;
-        cache.store(keys[k], rows[k]);
+        cache.store(keys[k], rows[k], {});
         const auto got = cache.lookup(keys[k]);
-        if (!got.has_value() || !(*got == rows[k])) bad.fetch_add(1);
+        if (!got.has_value() || !(got->row == rows[k])) bad.fetch_add(1);
       }
     });
   }
@@ -486,7 +590,7 @@ TEST(ResultCache, ConcurrentFillOfTheSameKeysIsSafe) {
   for (int k = 0; k < kKeys; ++k) {
     const auto got = cache.lookup(keys[k]);
     ASSERT_TRUE(got.has_value()) << k;
-    EXPECT_EQ(*got, rows[k]) << k;
+    EXPECT_EQ(got->row, rows[k]) << k;
   }
   EXPECT_EQ(cache.stats().rejected, 0u);
   // No temp droppings left behind by the rename protocol.

@@ -360,7 +360,8 @@ int run_batch(int argc, char** argv) {
               << Table::fmt(result.wall_seconds, 3) << "s\n";
     if (cache) {
       std::cout << "cache: " << result.cache_hits << " hits, "
-                << result.computed << " computed (hit rate "
+                << result.computed << " computed, " << result.materialized
+                << " graphs built (hit rate "
                 << Table::fmt(result.total_runs == 0
                                   ? 0.0
                                   : static_cast<double>(result.cache_hits) /
@@ -444,7 +445,8 @@ int run_serve(int argc, char** argv) {
       std::cout << r.name << ": resumed (already published)\n";
     } else if (r.ok) {
       std::cout << r.name << ": " << r.runs << " runs, " << r.cache_hits
-                << " cached, " << r.computed << " computed (hit rate "
+                << " cached, " << r.computed << " computed, "
+                << r.materialized << " graphs built (hit rate "
                 << Table::fmt(r.hit_rate(), 3) << ") in "
                 << Table::fmt(r.wall_seconds, 3) << "s\n";
     } else {
@@ -930,9 +932,8 @@ int run_single(int argc, char** argv) {
   }
   const service::ResolvedJob& job = server.job(0);
   std::cout << job.algorithm->name << ": " << job.algorithm->paper_ref
-            << "\ngraph: n=" << job.graph.num_nodes()
-            << " m=" << job.graph.num_edges()
-            << " Δ=" << job.graph.max_degree() << "\n";
+            << "\ngraph: n=" << job.facts.n << " m=" << job.facts.m
+            << " Δ=" << job.facts.max_degree << "\n";
   service::BatchResult result;
   try {
     result = server.serve();
