@@ -244,8 +244,11 @@ struct AdminServer::Impl {
       if (pfds[1].revents & POLLIN) accept_new();
 
       const std::uint64_t now = now_ms();
+      // Connections accept_new() just appended have no pollfd yet; they
+      // are polled from the next iteration on.
       std::size_t i = 2;
-      for (auto it = conns.begin(); it != conns.end(); ++i) {
+      for (auto it = conns.begin(); it != conns.end() && i < pfds.size();
+           ++i) {
         const short re = pfds[i].revents;
         bool close = false;
         if (re & (POLLERR | POLLHUP | POLLNVAL)) {

@@ -9,66 +9,50 @@ namespace distapx::sim {
 
 Aggregator agg_or(
     std::function<std::uint64_t(std::span<const std::uint64_t>)> extract) {
-  Aggregator a;
-  a.extract = std::move(extract);
-  a.identity = 0;
-  a.join = [](std::uint64_t x, std::uint64_t y) {
-    return static_cast<std::uint64_t>(x != 0 || y != 0);
-  };
-  a.result_bits = 1;
-  return a;
+  return {std::move(extract), Fold::kOr, 1};
 }
 
 Aggregator agg_and(
     std::function<std::uint64_t(std::span<const std::uint64_t>)> extract) {
-  Aggregator a;
-  a.extract = std::move(extract);
-  a.identity = 1;
-  a.join = [](std::uint64_t x, std::uint64_t y) {
-    return static_cast<std::uint64_t>(x != 0 && y != 0);
-  };
-  a.result_bits = 1;
-  return a;
+  return {std::move(extract), Fold::kAnd, 1};
 }
 
 Aggregator agg_sum(
     std::function<std::uint64_t(std::span<const std::uint64_t>)> extract,
     int result_bits) {
-  Aggregator a;
-  a.extract = std::move(extract);
-  a.identity = 0;
-  a.join = [](std::uint64_t x, std::uint64_t y) {
-    // Saturating add keeps congested sums well-defined.
-    const std::uint64_t s = x + y;
-    return s < x ? ~std::uint64_t{0} : s;
-  };
-  a.result_bits = result_bits;
-  return a;
+  return {std::move(extract), Fold::kSum, result_bits};
 }
 
 Aggregator agg_max(
     std::function<std::uint64_t(std::span<const std::uint64_t>)> extract,
     int result_bits) {
-  Aggregator a;
-  a.extract = std::move(extract);
-  a.identity = 0;
-  a.join = [](std::uint64_t x, std::uint64_t y) { return std::max(x, y); };
-  a.result_bits = result_bits;
-  return a;
+  return {std::move(extract), Fold::kMax, result_bits};
 }
 
 Aggregator agg_min(
     std::function<std::uint64_t(std::span<const std::uint64_t>)> extract,
     int result_bits) {
-  Aggregator a;
-  a.extract = std::move(extract);
-  a.identity = ~std::uint64_t{0};
-  a.join = [](std::uint64_t x, std::uint64_t y) { return std::min(x, y); };
-  a.result_bits = result_bits;
-  return a;
+  return {std::move(extract), Fold::kMin, result_bits};
 }
 
 namespace {
+
+template <Fold F>
+std::uint64_t join(std::uint64_t x, std::uint64_t y) {
+  if constexpr (F == Fold::kOr) {
+    return static_cast<std::uint64_t>(x != 0 || y != 0);
+  } else if constexpr (F == Fold::kAnd) {
+    return static_cast<std::uint64_t>(x != 0 && y != 0);
+  } else if constexpr (F == Fold::kSum) {
+    // Saturating add keeps congested sums well-defined.
+    const std::uint64_t s = x + y;
+    return s < x ? ~std::uint64_t{0} : s;
+  } else if constexpr (F == Fold::kMax) {
+    return std::max(x, y);
+  } else {
+    return std::min(x, y);
+  }
+}
 
 /// Shared engine for both agent topologies.
 class AggEngine {
@@ -79,6 +63,11 @@ class AggEngine {
       : g_(&g), prog_(&prog), mode_(mode) {
     num_agents_ =
         mode == Mode::kNodes ? g.num_nodes() : g.num_edges();
+    if (mode != Mode::kNodes) {
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (g.degree(v) > 0) line_hubs_.push_back(v);
+      }
+    }
     field_bits_ = prog.state_bits();
     DISTAPX_ENSURE(!field_bits_.empty());
     state_total_bits_ = 0;
@@ -89,7 +78,7 @@ class AggEngine {
     aggs_ = prog.aggregators();
     agg_total_bits_ = 0;
     for (const auto& a : aggs_) {
-      DISTAPX_ENSURE(a.extract && a.join);
+      DISTAPX_ENSURE(a.extract);
       agg_total_bits_ += a.result_bits;
     }
   }
@@ -202,7 +191,9 @@ class AggEngine {
 
   void compute_aggregates() {
     const std::size_t na = aggs_.size();
-    agg_buf_.assign(static_cast<std::size_t>(num_agents_) * na, 0);
+    // Every slot is written below: each node in node mode, and each edge
+    // (via its lower endpoint first) in line mode.
+    agg_buf_.resize(static_cast<std::size_t>(num_agents_) * na);
     // Extracted values per (aggregator, agent), reused across folds.
     extracted_.resize(na);
     for (std::size_t k = 0; k < na; ++k) {
@@ -214,48 +205,52 @@ class AggEngine {
             states_.data() + static_cast<std::size_t>(a) * fields, fields));
       }
     }
+    for (std::size_t k = 0; k < na; ++k) {
+      switch (aggs_[k].fold) {
+        case Fold::kOr: fold_column<Fold::kOr>(k); break;
+        case Fold::kAnd: fold_column<Fold::kAnd>(k); break;
+        case Fold::kSum: fold_column<Fold::kSum>(k); break;
+        case Fold::kMax: fold_column<Fold::kMax>(k); break;
+        case Fold::kMin: fold_column<Fold::kMin>(k); break;
+      }
+    }
+  }
+
+  /// Folds aggregator k's extracted column into agg_buf_. Line mode:
+  /// aggregate for edge e=(u,v) joins the all-but-e folds of both
+  /// endpoints (each computed locally; Thm 2.8). A running prefix and a
+  /// suffix fold give all "all-but-one" values in O(deg) per node.
+  template <Fold F>
+  void fold_column(std::size_t k) {
+    const std::size_t na = aggs_.size();
+    const auto& ex = extracted_[k];
     if (mode_ == Mode::kNodes) {
-      for (std::size_t k = 0; k < na; ++k) {
-        const auto& agg = aggs_[k];
-        const auto& ex = extracted_[k];
-        for (NodeId v = 0; v < g_->num_nodes(); ++v) {
-          std::uint64_t acc = agg.identity;
-          for (const HalfEdge& he : g_->neighbors(v)) {
-            acc = agg.join(acc, ex[he.to]);
-          }
-          agg_buf_[static_cast<std::size_t>(v) * na + k] = acc;
+      for (NodeId v = 0; v < g_->num_nodes(); ++v) {
+        std::uint64_t acc = fold_identity(F);
+        for (const HalfEdge& he : g_->neighbors(v)) {
+          acc = join<F>(acc, ex[he.to]);
         }
+        agg_buf_[static_cast<std::size_t>(v) * na + k] = acc;
       }
       return;
     }
-    // Line mode: aggregate for edge e=(u,v) joins the all-but-e folds of
-    // both endpoints (each computed locally; Thm 2.8). Prefix/suffix folds
-    // give all "all-but-one" values in O(deg) per node.
-    endpoint_seen_.assign(g_->num_edges(), 0);
-    for (std::size_t k = 0; k < na; ++k) {
-      const auto& agg = aggs_[k];
-      const auto& ex = extracted_[k];
-      for (NodeId v = 0; v < g_->num_nodes(); ++v) {
-        const auto inc = g_->neighbors(v);
-        const std::size_t d = inc.size();
-        if (d == 0) continue;
-        prefix_.assign(d + 1, agg.identity);
-        suffix_.assign(d + 1, agg.identity);
-        for (std::size_t i = 0; i < d; ++i) {
-          prefix_[i + 1] = agg.join(prefix_[i], ex[inc[i].edge]);
-        }
-        for (std::size_t i = d; i-- > 0;) {
-          suffix_[i] = agg.join(suffix_[i + 1], ex[inc[i].edge]);
-        }
-        for (std::size_t i = 0; i < d; ++i) {
-          const std::uint64_t partial = agg.join(prefix_[i], suffix_[i + 1]);
-          auto& slot = agg_buf_[static_cast<std::size_t>(inc[i].edge) * na + k];
-          // First endpoint writes its partial; second joins.
-          slot = endpoint_seen_[inc[i].edge]++ == 0 ? partial
-                                                    : agg.join(slot, partial);
-        }
+    for (const NodeId v : line_hubs_) {
+      const auto inc = g_->neighbors(v);
+      const std::size_t d = inc.size();
+      if (suffix_.size() < d + 1) suffix_.resize(d + 1);
+      suffix_[d] = fold_identity(F);
+      for (std::size_t i = d; i-- > 0;) {
+        suffix_[i] = join<F>(suffix_[i + 1], ex[inc[i].edge]);
       }
-      std::fill(endpoint_seen_.begin(), endpoint_seen_.end(), 0);
+      std::uint64_t prefix = fold_identity(F);
+      for (std::size_t i = 0; i < d; ++i) {
+        const std::uint64_t partial = join<F>(prefix, suffix_[i + 1]);
+        prefix = join<F>(prefix, ex[inc[i].edge]);
+        auto& slot = agg_buf_[static_cast<std::size_t>(inc[i].edge) * na + k];
+        // Nodes run in id order, so the lower endpoint writes its partial
+        // first and the higher one joins.
+        slot = inc[i].to > v ? partial : join<F>(slot, partial);
+      }
     }
   }
 
@@ -278,17 +273,17 @@ class AggEngine {
     if (mode_ == Mode::kLineNaive) {
       // Naive transport: the endpoint u of a physical edge {u,v} forwards
       // the states of all its live incident edges across to v each round.
-      std::vector<std::uint32_t> live_incident(g_->num_nodes(), 0);
+      live_incident_.assign(g_->num_nodes(), 0);
       for (EdgeId e = 0; e < g_->num_edges(); ++e) {
         if (halted_[e]) continue;
         const auto [u, v] = g_->endpoints(e);
-        ++live_incident[u];
-        ++live_incident[v];
+        ++live_incident_[u];
+        ++live_incident_[v];
       }
       for (EdgeId e = 0; e < g_->num_edges(); ++e) {
         const auto [u, v] = g_->endpoints(e);
         for (NodeId sender : {u, v}) {
-          const std::uint64_t states = live_incident[sender];
+          const std::uint64_t states = live_incident_[sender];
           if (states == 0) continue;
           const std::uint64_t bits =
               states * static_cast<std::uint64_t>(state_total_bits_);
@@ -332,8 +327,9 @@ class AggEngine {
   std::vector<Rng> rngs_;
   std::vector<std::uint64_t> agg_buf_;
   std::vector<std::vector<std::uint64_t>> extracted_;
-  std::vector<std::uint64_t> prefix_, suffix_;
-  std::vector<std::uint8_t> endpoint_seen_;
+  std::vector<NodeId> line_hubs_;  // line modes: nodes with an incident edge
+  std::vector<std::uint64_t> suffix_;
+  std::vector<std::uint32_t> live_incident_;  // kLineNaive accounting
 };
 
 }  // namespace

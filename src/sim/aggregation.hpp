@@ -37,15 +37,23 @@
 
 namespace distapx::sim {
 
+/// The closed set of joining functions phi, so the engine folds through an
+/// inlined join rather than an indirect call per incidence. kOr / kAnd
+/// yield 0 or 1 (any / all nonzero); kSum saturates.
+enum class Fold { kOr, kAnd, kSum, kMax, kMin };
+
+/// Identity element of `f` (the empty-character case of Def. 2.4).
+constexpr std::uint64_t fold_identity(Fold f) {
+  return f == Fold::kAnd ? 1 : f == Fold::kMin ? ~std::uint64_t{0} : 0;
+}
+
 /// One aggregate function over neighbor states (Def. 2.5): a commutative,
 /// associative fold of per-neighbor extracted values.
 struct Aggregator {
   /// Value a neighbor contributes, computed from its published state.
   std::function<std::uint64_t(std::span<const std::uint64_t>)> extract;
-  /// Identity element of `join` (the empty-character case of Def. 2.4).
-  std::uint64_t identity = 0;
-  /// Joining function phi; must be commutative and associative.
-  std::function<std::uint64_t(std::uint64_t, std::uint64_t)> join;
+  /// Joining function phi.
+  Fold fold = Fold::kOr;
   /// Declared wire width of a partial aggregate.
   int result_bits = 1;
 };

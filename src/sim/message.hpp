@@ -16,12 +16,21 @@
 
 namespace distapx::sim {
 
-/// A single message: type tag + fields with declared bit widths.
+namespace detail {
+inline double as_real(std::uint64_t raw) {
+  static_assert(sizeof(double) == sizeof(std::uint64_t));
+  double v;
+  __builtin_memcpy(&v, &raw, sizeof(v));
+  return v;
+}
+}  // namespace detail
+
+/// A message under construction: type tag + fields with declared bit
+/// widths. This is the builder programs hand to Ctx::send; the engine
+/// copies it into a WireMessage, so a Message can be reused after sending.
 ///
-/// Fields are stored inline (no heap allocation) up to kInlineFields; the
-/// overflow vector only engages for wide messages such as the naive
-/// line-graph forwarding ablation, so the per-round message churn in the
-/// simulator stays allocation-free on the hot paths.
+/// Fields are stored inline up to kInlineFields; wider messages (tests and
+/// ablations only) spill into a heap vector.
 class Message {
  public:
   /// Cost charged for the type tag itself.
@@ -53,7 +62,6 @@ class Message {
   /// precision by O(log Δ / ε²) bits, which callers declare explicitly.
   Message& push_real(double value, int bits) {
     DISTAPX_ENSURE(bits >= 1 && bits <= 64);
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
     std::uint64_t raw;
     __builtin_memcpy(&raw, &value, sizeof(raw));
     store(raw);
@@ -67,10 +75,7 @@ class Message {
   }
 
   [[nodiscard]] double field_real(std::size_t i) const {
-    double v;
-    const std::uint64_t raw = field(i);
-    __builtin_memcpy(&v, &raw, sizeof(v));
-    return v;
+    return detail::as_real(field(i));
   }
 
   [[nodiscard]] std::size_t num_fields() const noexcept { return count_; }
@@ -95,10 +100,46 @@ class Message {
   std::vector<std::uint64_t> overflow_;
 };
 
+/// A message as the receiver reads it: Message's read API in a trivially
+/// copyable 40-byte record. Fields past kInlineFields (only tests and
+/// ablations send them) live in the engine's per-round arena, so a copy
+/// can read them only during the round it was delivered in.
+class WireMessage {
+ public:
+  static constexpr std::size_t kInlineFields = 2;
+
+  [[nodiscard]] std::uint32_t type() const noexcept { return type_; }
+
+  [[nodiscard]] std::uint64_t field(std::size_t i) const {
+    DISTAPX_ASSERT(i < count_);
+    return i < kInlineFields ? inline_[i] : overflow_[i - kInlineFields];
+  }
+
+  [[nodiscard]] double field_real(std::size_t i) const {
+    return detail::as_real(field(i));
+  }
+
+  [[nodiscard]] std::size_t num_fields() const noexcept { return count_; }
+
+  /// Total declared wire bits including the type tag.
+  [[nodiscard]] int total_bits() const noexcept { return total_bits_; }
+
+ private:
+  friend class Network;
+  friend class Ctx;
+
+  std::uint32_t type_ = 0;
+  int total_bits_ = 0;
+  std::uint32_t count_ = 0;
+  std::uint32_t overflow_off_ = 0;  // arena index of field kInlineFields
+  std::array<std::uint64_t, kInlineFields> inline_{};
+  const std::uint64_t* overflow_ = nullptr;
+};
+
 /// A message as seen by its receiver: which local port it arrived on.
 struct Delivery {
   std::uint32_t port;
-  Message msg;
+  WireMessage msg;
 };
 
 }  // namespace distapx::sim

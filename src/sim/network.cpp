@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
@@ -30,14 +31,20 @@ NodeId Ctx::neighbor(std::uint32_t port) const {
   return nbrs[port].to;
 }
 
-std::uint32_t Ctx::port_of(NodeId v) const {
-  const auto nbrs = net_->g_->neighbors(id_);
-  // Adjacency is sorted by neighbor id (GraphBuilder::build).
+namespace {
+// Port of `v` in an adjacency sorted by neighbor id (GraphBuilder::build),
+// or UINT32_MAX.
+std::uint32_t find_port(std::span<const HalfEdge> nbrs, NodeId v) {
   const auto it = std::lower_bound(
       nbrs.begin(), nbrs.end(), v,
       [](const HalfEdge& he, NodeId x) { return he.to < x; });
   if (it == nbrs.end() || it->to != v) return UINT32_MAX;
   return static_cast<std::uint32_t>(it - nbrs.begin());
+}
+}  // namespace
+
+std::uint32_t Ctx::port_of(NodeId v) const {
+  return find_port(net_->g_->neighbors(id_), v);
 }
 
 EdgeId Ctx::edge_of(std::uint32_t port) const {
@@ -52,20 +59,31 @@ std::span<const Delivery> Ctx::inbox() const noexcept {
   return {net_->inbox_store_.data() + begin, net_->inbox_store_.data() + end};
 }
 
-void Ctx::send(std::uint32_t port, Message m) {
-  DISTAPX_ENSURE_MSG(port < net_->g_->degree(id_),
+void Ctx::send(std::uint32_t port, const Message& m) {
+  Network& net = *net_;
+  DISTAPX_ENSURE_MSG(port < net.g_->degree(id_),
                      "node " << id_ << " sending on invalid port " << port);
   const auto bits = static_cast<std::uint32_t>(m.total_bits());
-  const std::uint32_t slot = net_->adj_base_[id_] + port;
-  if (net_->out_bits_[slot] == 0) net_->touched_.push_back(slot);
-  net_->out_bits_[slot] += bits;
-  const NodeId to = neighbor(port);
-  Ctx peer;  // compute arrival port cheaply via the destination's view
-  peer.net_ = net_;
-  peer.id_ = to;
-  const std::uint32_t arrival = peer.port_of(id_);
-  DISTAPX_ASSERT(arrival != UINT32_MAX);
-  net_->staged_.push_back({to, arrival, std::move(m)});
+  const std::uint32_t slot = net.adj_base_[id_] + port;
+  if (net.out_bits_[slot] == 0) net.touched_.push_back(slot);
+  net.out_bits_[slot] += bits;
+  // Built in place: a brace-initialised temporary makes GCC split the
+  // record into narrow stores and wide reloads.
+  Network::Staged& s = net.staged_.emplace_back();
+  s.to = neighbor(port);
+  s.arrival_port = net.rev_port_[slot];
+  WireMessage& w = s.msg;
+  w.type_ = m.type();
+  w.total_bits_ = static_cast<int>(bits);
+  w.count_ = static_cast<std::uint32_t>(m.num_fields());
+  w.overflow_off_ = static_cast<std::uint32_t>(net.staged_arena_.size());
+  for (std::uint32_t i = 0; i < w.count_; ++i) {
+    if (i < WireMessage::kInlineFields) {
+      w.inline_[i] = m.field(i);
+    } else {
+      net.staged_arena_.push_back(m.field(i));
+    }
+  }
 }
 
 void Ctx::broadcast(const Message& m) {
@@ -91,6 +109,16 @@ void Network::rebind(const Graph& g) {
   adj_base_[0] = 0;
   for (NodeId v = 0; v < n; ++v) adj_base_[v + 1] = adj_base_[v] + g.degree(v);
   out_bits_.assign(adj_base_[n], 0);
+  // The port on which v's neighbor across p sees v (Ctx::port_of's rule).
+  rev_port_.resize(adj_base_[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const std::uint32_t arrival = find_port(g.neighbors(nbrs[p].to), v);
+      DISTAPX_ASSERT(arrival != UINT32_MAX);
+      rev_port_[adj_base_[v] + p] = arrival;
+    }
+  }
   inbox_off_.assign(n + 1, 0);
   inbox_fill_.assign(n, 0);
   slots_.resize(n);
@@ -108,6 +136,7 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
   // (a previous run may have thrown mid-round, so clear transport state
   // unconditionally).
   staged_.clear();
+  staged_arena_.clear();
   touched_.clear();
   std::fill(out_bits_.begin(), out_bits_.end(), 0);
   std::fill(inbox_off_.begin(), inbox_off_.end(), 0);
@@ -121,14 +150,17 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
     slot.halted = false;
     slot.output = 0;
   }
+  active_.resize(n);
+  std::iota(active_.begin(), active_.end(), NodeId{0});
 
   RunResult result;
   result.metrics.bandwidth_cap = cap_bits_;
 
   auto sweep = [&](std::uint32_t round_idx, bool is_init) {
-    for (NodeId v = 0; v < n; ++v) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      const NodeId v = active_[i];
       auto& slot = slots_[v];
-      if (slot.halted) continue;
       Ctx ctx;
       ctx.net_ = this;
       ctx.id_ = v;
@@ -139,7 +171,9 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
       } else {
         slot.program->round(ctx);
       }
+      if (!slot.halted) active_[kept++] = v;
     }
+    active_.resize(kept);
     const std::uint64_t msgs_before = result.metrics.messages;
     const std::uint64_t bits_before = result.metrics.total_bits;
     deliver_and_account(result.metrics);
@@ -148,27 +182,20 @@ RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
       sample.round = round_idx;
       sample.messages = result.metrics.messages - msgs_before;
       sample.bits = result.metrics.total_bits - bits_before;
-      for (const auto& slot : slots_) {
-        if (slot.halted) ++sample.nodes_halted;
-      }
+      sample.nodes_halted = n - static_cast<NodeId>(active_.size());
       opts.observer(sample);
     }
   };
 
   sweep(0, /*is_init=*/true);
 
-  auto all_halted = [&] {
-    return std::all_of(slots_.begin(), slots_.end(),
-                       [](const NodeSlot& s) { return s.halted; });
-  };
-
   std::uint32_t round = 0;
-  while (!all_halted() && round < opts.max_rounds) {
+  while (!active_.empty() && round < opts.max_rounds) {
     ++round;
     sweep(round, /*is_init=*/false);
   }
   result.metrics.rounds = round;
-  result.metrics.completed = all_halted();
+  result.metrics.completed = active_.empty();
 
   result.outputs.resize(n);
   result.halted.resize(n);
@@ -216,10 +243,17 @@ void Network::deliver_and_account(RunMetrics& metrics) {
   metrics.messages += total;
   if (inbox_store_.size() < total) inbox_store_.resize(total);
   for (NodeId v = 0; v < n; ++v) inbox_fill_[v] = inbox_off_[v];
-  for (auto& s : staged_) {
+  // Last round's inbox is consumed: its arena becomes next round's staging.
+  std::swap(staged_arena_, inbox_arena_);
+  staged_arena_.clear();
+  for (const auto& s : staged_) {
     if (slots_[s.to].halted) continue;
-    inbox_store_[inbox_fill_[s.to]++] = Delivery{s.arrival_port,
-                                                 std::move(s.msg)};
+    Delivery& d = inbox_store_[inbox_fill_[s.to]++];
+    d.port = s.arrival_port;
+    d.msg = s.msg;
+    if (d.msg.count_ > WireMessage::kInlineFields) {
+      d.msg.overflow_ = inbox_arena_.data() + d.msg.overflow_off_;
+    }
   }
   staged_.clear();
 }

@@ -113,8 +113,8 @@ class Ctx {
   /// Messages delivered this round.
   [[nodiscard]] std::span<const Delivery> inbox() const noexcept;
 
-  /// Queues a message on `port` for delivery next round.
-  void send(std::uint32_t port, Message m);
+  /// Queues a copy of `m` on `port` for delivery next round.
+  void send(std::uint32_t port, const Message& m);
   /// Queues a copy on every port.
   void broadcast(const Message& m);
 
@@ -148,11 +148,13 @@ using ProgramFactory =
 /// The synchronous engine.
 ///
 /// Message transport uses flat, preallocated buffers that persist across
-/// rounds AND across run() calls: sends append to one staged vector, and a
-/// stable counting sort by destination rebuilds the per-node inbox spans
-/// each round. A Network instance is therefore cheap to reuse for many
-/// seeded runs on the same graph (see run_many.hpp), with no per-round or
-/// per-run vector churn.
+/// rounds AND across run() calls: sends append a WireMessage record (wide
+/// fields to a staged arena, swapped with the inbox arena at delivery) at
+/// the arrival port rebind() precomputed, and a stable counting sort by
+/// destination rebuilds the per-node inbox spans each round. Sweeps visit
+/// an ascending list of the non-halted nodes. A Network instance is
+/// therefore cheap to reuse for many seeded runs on the same graph (see
+/// run_many.hpp), with no per-round or per-run vector churn.
 class Network {
  public:
   /// An unbound Network; rebind() before run(). Lets pooled workers (the
@@ -190,7 +192,7 @@ class Network {
   struct Staged {
     NodeId to;
     std::uint32_t arrival_port;
-    Message msg;
+    WireMessage msg;
   };
 
   void deliver_and_account(RunMetrics& metrics);
@@ -205,7 +207,11 @@ class Network {
   std::vector<Delivery> inbox_store_;   // all inboxes, back to back
   std::vector<std::uint32_t> inbox_off_;   // node v's inbox = [off[v], off[v+1])
   std::vector<std::uint32_t> inbox_fill_;  // counting-sort scratch
+  std::vector<std::uint64_t> staged_arena_;  // wide fields of staged_
+  std::vector<std::uint64_t> inbox_arena_;   // wide fields of inbox_store_
   std::vector<std::uint32_t> adj_base_;    // CSR base of node v's ports
+  std::vector<std::uint32_t> rev_port_;    // arrival port, per directed edge
+  std::vector<NodeId> active_;             // non-halted nodes, ascending
   std::vector<std::uint32_t> out_bits_;    // per directed edge, this round
   std::vector<std::uint32_t> touched_;     // dirty out_bits_ entries
 };

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <type_traits>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/line_graph.hpp"
@@ -284,6 +287,159 @@ TEST(Network, PortsAndNeighborsConsistent) {
   EXPECT_TRUE(res.metrics.completed);
 }
 
+// The wire record is copied once per message per round; keep it flat.
+static_assert(std::is_trivially_copyable_v<sim::Delivery>);
+static_assert(sizeof(sim::Delivery) <= 48);
+
+/// Field i of the wide message node `v` sends in round `r`.
+std::uint64_t wide_field(NodeId v, std::uint32_t r, std::size_t i) {
+  return (std::uint64_t{v} << 16) ^ (std::uint64_t{r} << 8) ^ i;
+}
+double wide_real(NodeId v, std::uint32_t r, std::size_t i) {
+  return v + 0.25 * r + 0.0625 * static_cast<double>(i);
+}
+
+/// Sends a 9-field message (mixed push / push_real) on every port from
+/// init and rounds 1..2; checks every delivery field by field in rounds
+/// 1..3, then halts.
+class WideSender final : public sim::NodeProgram {
+ public:
+  static constexpr std::size_t kFields = 9;
+  explicit WideSender(std::uint64_t* checked) : checked_(checked) {}
+
+  void init(sim::Ctx& ctx) override { send_wide(ctx); }
+  void round(sim::Ctx& ctx) override {
+    EXPECT_EQ(ctx.inbox().size(), ctx.degree()) << "node " << ctx.id();
+    for (const sim::Delivery& d : ctx.inbox()) {
+      const NodeId from = ctx.neighbor(d.port);
+      const std::uint32_t sent = ctx.round() - 1;
+      EXPECT_EQ(d.msg.type(), sent + 1);
+      ASSERT_EQ(d.msg.num_fields(), kFields);
+      EXPECT_EQ(d.msg.total_bits(), sim::Message::kTypeBits + 6 * 32 + 3 * 64);
+      for (std::size_t i = 0; i < kFields; ++i) {
+        if (i % 3 == 2) {
+          EXPECT_EQ(d.msg.field_real(i), wide_real(from, sent, i));
+        } else {
+          EXPECT_EQ(d.msg.field(i), wide_field(from, sent, i));
+        }
+      }
+      ++*checked_;
+    }
+    if (ctx.round() < 3) {
+      send_wide(ctx);
+    } else {
+      ctx.halt(0);
+    }
+  }
+
+ private:
+  static void send_wide(sim::Ctx& ctx) {
+    sim::Message m(ctx.round() + 1);
+    for (std::size_t i = 0; i < kFields; ++i) {
+      if (i % 3 == 2) {
+        m.push_real(wide_real(ctx.id(), ctx.round(), i), 64);
+      } else {
+        m.push(wide_field(ctx.id(), ctx.round(), i), 32);
+      }
+    }
+    ctx.broadcast(m);
+  }
+  std::uint64_t* checked_;
+};
+
+TEST(Network, WideMessagesArriveFieldExact) {
+  // The star's center gets one wide message from every leaf per round.
+  const Graph g = gen::star(5);
+  for (const auto& policy : {sim::BandwidthPolicy::local(),
+                             sim::BandwidthPolicy::congest(8, false)}) {
+    sim::Network net(g);
+    sim::RunOptions opts;
+    opts.policy = policy;
+    std::uint64_t checked = 0;
+    const auto res = net.run(
+        [&](NodeId) { return std::make_unique<WideSender>(&checked); },
+        opts);
+    EXPECT_TRUE(res.metrics.completed);
+    EXPECT_EQ(res.metrics.rounds, 3u);
+    EXPECT_EQ(checked, 3u * 2 * g.num_edges());
+    EXPECT_EQ(res.metrics.messages, checked);
+  }
+}
+
+TEST(Network, ArrivalPortMatchesPortOf) {
+  // Every node announces its id on each port; the receiver checks the
+  // arrival port against its own port_of() view.
+  class Announce final : public sim::NodeProgram {
+   public:
+    explicit Announce(std::uint64_t* checked) : checked_(checked) {}
+    void init(sim::Ctx& ctx) override {
+      for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
+        ctx.send(p, sim::Message(1).push(ctx.id(), 32));
+      }
+    }
+    void round(sim::Ctx& ctx) override {
+      EXPECT_EQ(ctx.inbox().size(), ctx.degree());
+      for (const sim::Delivery& d : ctx.inbox()) {
+        const auto from = static_cast<NodeId>(d.msg.field(0));
+        EXPECT_EQ(d.port, ctx.port_of(from)) << "node " << ctx.id();
+        EXPECT_EQ(ctx.neighbor(d.port), from);
+        ++*checked_;
+      }
+      ctx.halt(0);
+    }
+
+   private:
+    std::uint64_t* checked_;
+  };
+  Rng rng(11);
+  const Graph big = gen::gnp(120, 0.08, rng);
+  const Graph regular = gen::random_regular(60, 5, rng);
+  const Graph tree = gen::random_tree(40, rng);
+  sim::Network net;
+  // Rebind down to smaller graphs and back up to the largest.
+  for (const Graph* g : {&big, &regular, &tree, &regular, &big}) {
+    net.rebind(*g);
+    std::uint64_t checked = 0;
+    const auto res = net.run(
+        [&](NodeId) { return std::make_unique<Announce>(&checked); },
+        sim::RunOptions{});
+    EXPECT_TRUE(res.metrics.completed);
+    EXPECT_EQ(checked, 2u * g->num_edges());
+  }
+}
+
+TEST(Network, HaltingNodeStillDeliversItsLastRound) {
+  // Node 0 sends and halts in round 1: its message reaches node 1 in
+  // round 2. Node 1's round-1 message to the now-halted node 0 is dropped.
+  class LastWords final : public sim::NodeProgram {
+   public:
+    void round(sim::Ctx& ctx) override {
+      if (ctx.round() == 1) {
+        ctx.broadcast(sim::Message(2).push(ctx.id() + 1, 8));
+        if (ctx.id() == 0) ctx.halt(-1);
+        return;
+      }
+      EXPECT_EQ(ctx.id(), 1u);
+      ASSERT_EQ(ctx.inbox().size(), 1u);
+      ctx.halt(static_cast<std::int64_t>(ctx.inbox()[0].msg.field(0)));
+    }
+  };
+  const Graph g = gen::path(2);
+  sim::Network net(g);
+  sim::RunOptions opts;
+  std::vector<NodeId> halted_per_round;
+  opts.observer = [&](const sim::RoundSample& s) {
+    halted_per_round.push_back(s.nodes_halted);
+  };
+  const auto res = net.run(
+      [](NodeId) { return std::make_unique<LastWords>(); }, opts);
+  EXPECT_TRUE(res.metrics.completed);
+  EXPECT_EQ(res.outputs[0], -1);
+  EXPECT_EQ(res.outputs[1], 1);  // node 0's id + 1
+  EXPECT_EQ(res.metrics.messages, 1u);
+  EXPECT_EQ(halted_per_round, (std::vector<NodeId>{0, 1, 2}));
+}
+
 // ---- aggregation engine ---------------------------------------------------
 
 /// One-round program whose output is its first aggregate (sum of neighbor
@@ -394,6 +550,128 @@ TEST(Aggregation, MinMaxAndBooleanAggregators) {
   opts.policy = sim::BandwidthPolicy::local();
   const auto res = sim::run_on_nodes(g, prog, opts);
   EXPECT_EQ(res.outputs[0], 1);
+}
+
+/// Saturating-add reference for the SUM fold.
+std::uint64_t sat_add(std::uint64_t x, std::uint64_t y) {
+  return x + y < x ? ~std::uint64_t{0} : x + y;
+}
+
+/// Naive reference fold of `values` under `f`.
+std::uint64_t reference_fold(sim::Fold f,
+                             const std::vector<std::uint64_t>& values) {
+  std::uint64_t acc = sim::fold_identity(f);
+  for (const std::uint64_t x : values) {
+    switch (f) {
+      case sim::Fold::kOr: acc = (acc != 0 || x != 0) ? 1 : 0; break;
+      case sim::Fold::kAnd: acc = (acc != 0 && x != 0) ? 1 : 0; break;
+      case sim::Fold::kSum: acc = sat_add(acc, x); break;
+      case sim::Fold::kMax: acc = std::max(acc, x); break;
+      case sim::Fold::kMin: acc = std::min(acc, x); break;
+    }
+  }
+  return acc;
+}
+
+/// Publishes a random wide value (field 0) and a random 16-bit value
+/// (field 1) and records the round-1 aggregates of every agent. SUM over
+/// field 0 saturates on any agent with a few neighbors.
+class AllFoldsProgram final : public sim::AggProgram {
+ public:
+  struct Spec {
+    sim::Fold fold;
+    std::size_t field;
+    std::uint64_t mask;  // extract = state[field] & mask
+  };
+  static const std::vector<Spec>& specs() {
+    static const std::vector<Spec> s = {
+        {sim::Fold::kOr, 1, 3},          {sim::Fold::kAnd, 1, 7},
+        {sim::Fold::kSum, 0, ~0ull},     {sim::Fold::kSum, 1, 0xffff},
+        {sim::Fold::kMax, 0, ~0ull},     {sim::Fold::kMin, 1, 0xffff}};
+    return s;
+  }
+
+  std::vector<int> state_bits() const override { return {64, 16}; }
+  std::vector<sim::Aggregator> aggregators() const override {
+    std::vector<sim::Aggregator> out;
+    for (const Spec& sp : specs()) {
+      auto ex = [sp](std::span<const std::uint64_t> st) {
+        return st[sp.field] & sp.mask;
+      };
+      switch (sp.fold) {
+        case sim::Fold::kOr: out.push_back(sim::agg_or(ex)); break;
+        case sim::Fold::kAnd: out.push_back(sim::agg_and(ex)); break;
+        case sim::Fold::kSum: out.push_back(sim::agg_sum(ex, 64)); break;
+        case sim::Fold::kMax: out.push_back(sim::agg_max(ex, 64)); break;
+        case sim::Fold::kMin: out.push_back(sim::agg_min(ex, 64)); break;
+      }
+      EXPECT_EQ(out.back().fold, sp.fold);
+    }
+    return out;
+  }
+  void init(sim::AggCtx& ctx) override {
+    ctx.state()[0] = ctx.rng().next() | (std::uint64_t{1} << 63);
+    ctx.state()[1] = ctx.rng().next() & 0xffff;
+    states.resize(std::max<std::size_t>(states.size(), ctx.agent() + 1));
+    states[ctx.agent()] = {ctx.state()[0], ctx.state()[1]};
+  }
+  void round(sim::AggCtx& ctx) override {
+    aggregates.resize(std::max<std::size_t>(aggregates.size(),
+                                            ctx.agent() + 1));
+    const auto a = ctx.aggregates();
+    aggregates[ctx.agent()].assign(a.begin(), a.end());
+    ctx.halt(0);
+  }
+
+  /// Extracted value of agent `a` for aggregator `k`.
+  std::uint64_t extracted(std::size_t a, std::size_t k) const {
+    return states[a][specs()[k].field] & specs()[k].mask;
+  }
+
+  std::vector<std::array<std::uint64_t, 2>> states;
+  std::vector<std::vector<std::uint64_t>> aggregates;
+};
+
+TEST(Aggregation, EveryFoldMatchesNaiveReference) {
+  Rng rng(12);
+  const Graph g = gen::gnp(40, 0.15, rng);
+  sim::RunOptions opts;
+  opts.policy = sim::BandwidthPolicy::local();
+  const auto& specs = AllFoldsProgram::specs();
+  bool saturated = false;
+
+  AllFoldsProgram nodes;
+  ASSERT_TRUE(sim::run_on_nodes(g, nodes, opts).metrics.completed);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      std::vector<std::uint64_t> values;
+      for (const HalfEdge& he : g.neighbors(v)) {
+        values.push_back(nodes.extracted(he.to, k));
+      }
+      const std::uint64_t expect = reference_fold(specs[k].fold, values);
+      EXPECT_EQ(nodes.aggregates[v][k], expect) << "node " << v << " k " << k;
+      if (specs[k].fold == sim::Fold::kSum && expect == ~0ull) {
+        saturated = true;
+      }
+    }
+  }
+
+  AllFoldsProgram line;
+  ASSERT_TRUE(sim::run_on_line_graph(g, line, opts).metrics.completed);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      std::vector<std::uint64_t> values;
+      for (const NodeId end : {u, v}) {
+        for (const HalfEdge& he : g.neighbors(end)) {
+          if (he.edge != e) values.push_back(line.extracted(he.edge, k));
+        }
+      }
+      EXPECT_EQ(line.aggregates[e][k], reference_fold(specs[k].fold, values))
+          << "edge " << e << " k " << k;
+    }
+  }
+  EXPECT_TRUE(saturated);
 }
 
 TEST(Aggregation, StateWidthValidation) {
