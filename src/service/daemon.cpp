@@ -145,17 +145,7 @@ JobFileReport Daemon::process_file(const std::string& path) {
     if (!tracer) return;
     tracer->annotate(file_span, "outcome", outcome);
     tracer->end(file_span);
-    const trace::Trace t = tracer->finish();
-    if (opts_.trace_sink != nullptr) opts_.trace_sink->publish(t);
-    if (opts_.slow_ms != 0 &&
-        t.duration_ns > std::uint64_t{opts_.slow_ms} * 1'000'000ull) {
-      logx::warn("slow_job", {{"trace", t.id},
-                              {"endpoint", t.endpoint},
-                              {"duration_ms", static_cast<double>(
-                                                  t.duration_ns) /
-                                                  1e6},
-                              {"spans", trace::flatten_spans(t)}});
-    }
+    trace::complete(*tracer, opts_.trace_sink, opts_.slow_ms);
   };
 
   try {

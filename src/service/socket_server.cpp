@@ -365,24 +365,6 @@ SocketServerStats SocketServer::run() {
     return done;
   };
 
-  // Completes one trace: stamps open spans, publishes into the sink, and
-  // emits the slow_job line when the job blew the --slow-ms budget. The
-  // logger's per-event token bucket rate-limits a storm of slow jobs.
-  const auto finalize_trace = [this](trace::Collector& tr) {
-    trace::Trace t = tr.finish();
-    if (opts_.trace_sink != nullptr) opts_.trace_sink->publish(t);
-    if (opts_.slow_ms != 0 &&
-        t.duration_ns >
-            static_cast<std::uint64_t>(opts_.slow_ms) * 1'000'000ull) {
-      logx::warn("slow_job",
-                 {{"trace", t.id},
-                  {"endpoint", t.endpoint},
-                  {"duration_ms",
-                   static_cast<double>(t.duration_ns) / 1e6},
-                  {"spans", trace::flatten_spans(t)}});
-    }
-  };
-
   std::vector<std::thread> lanes;
   lanes.reserve(lane_count);
   for (unsigned lane = 0; lane < lane_count; ++lane) {
@@ -512,18 +494,22 @@ SocketServerStats SocketServer::run() {
                       rr_ring.end());
       }
     }
-    // Publish outside the scheduler lock: the sink's slowest-K writer
-    // mutex and the slow_job log line have no business under mu.
-    for (const auto& tracer : orphaned) finalize_trace(*tracer);
+    // Publish outside the scheduler lock: the sink's mutex and the
+    // slow_job log line have no business under mu.
+    for (const auto& tracer : orphaned) {
+      trace::complete(*tracer, opts_.trace_sink, opts_.slow_ms);
+    }
     for (Conn::PendingFlush& fw : it->second.flush_watch) {
       if (fw.tracer) {
         fw.tracer->annotate(fw.respond_span, "outcome", "conn-lost");
         fw.tracer->end(fw.respond_span);
-        finalize_trace(*fw.tracer);
+        trace::complete(*fw.tracer, opts_.trace_sink, opts_.slow_ms);
       }
     }
     for (auto& [seq, done] : it->second.ready) {
-      if (done.tracer) finalize_trace(*done.tracer);
+      if (done.tracer) {
+        trace::complete(*done.tracer, opts_.trace_sink, opts_.slow_ms);
+      }
     }
     const std::uint64_t dropped = purged + it->second.ready.size();
     if (dropped > 0) {
@@ -769,7 +755,7 @@ SocketServerStats SocketServer::run() {
           conn.flush_watch.pop_front();
           if (fw.tracer) {
             fw.tracer->end(fw.respond_span);
-            finalize_trace(*fw.tracer);
+            trace::complete(*fw.tracer, opts_.trace_sink, opts_.slow_ms);
           }
         }
       }
@@ -803,7 +789,9 @@ SocketServerStats SocketServer::run() {
       if (it == conns.end()) {
         // Client left while the job ran; nowhere to send the response.
         counters.jobs_dropped.inc();
-        if (done.tracer) finalize_trace(*done.tracer);
+        if (done.tracer) {
+          trace::complete(*done.tracer, opts_.trace_sink, opts_.slow_ms);
+        }
         continue;
       }
       Conn& conn = it->second;

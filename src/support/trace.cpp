@@ -3,9 +3,12 @@
 #include <time.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "support/log.hpp"
 
 namespace distapx::trace {
 
@@ -43,80 +46,6 @@ std::atomic<bool>& enabled_flag() noexcept {
 
 thread_local Context g_context;
 
-// ---- little-endian scalar packing (encoding only; never on the wire
-// protocol — slots live in process memory, but a fixed byte order keeps
-// encode/decode trivially symmetric) ---------------------------------------
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-bool get_u64(std::string_view& in, std::uint64_t& v) noexcept {
-  if (in.size() < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
-         << (8 * i);
-  }
-  in.remove_prefix(8);
-  return true;
-}
-
-bool get_u32(std::string_view& in, std::uint32_t& v) noexcept {
-  if (in.size() < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[i]))
-         << (8 * i);
-  }
-  in.remove_prefix(4);
-  return true;
-}
-
-bool get_u16(std::string_view& in, std::uint16_t& v) noexcept {
-  if (in.size() < 2) return false;
-  v = static_cast<std::uint16_t>(
-      static_cast<unsigned char>(in[0]) |
-      (static_cast<std::uint16_t>(static_cast<unsigned char>(in[1])) << 8));
-  in.remove_prefix(2);
-  return true;
-}
-
-bool get_string(std::string_view& in, std::string& out) noexcept {
-  std::uint16_t len = 0;
-  if (!get_u16(in, len)) return false;
-  if (in.size() < len) return false;
-  out.assign(in.substr(0, len));
-  in.remove_prefix(len);
-  return true;
-}
-
-void put_string(std::string& out, std::string_view s) {
-  const std::size_t len = std::min<std::size_t>(s.size(), 0xffff);
-  put_u16(out, static_cast<std::uint16_t>(len));
-  out.append(s.substr(0, len));
-}
-
-/// Bytes one span costs in the encoding (u32 parent + 2 u64 times + two
-/// length-prefixed strings).
-std::size_t span_encoded_size(const Span& s) noexcept {
-  return 4 + 8 + 8 + 2 + std::min<std::size_t>(s.name.size(), 0xffff) + 2 +
-         std::min<std::size_t>(s.notes.size(), 0xffff);
-}
-
 std::string iso_utc(std::uint64_t unix_ms) {
   const time_t secs = static_cast<time_t>(unix_ms / 1000);
   struct tm tm_utc;
@@ -124,6 +53,15 @@ std::string iso_utc(std::uint64_t unix_ms) {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   return buf;
+}
+
+/// Deep copies of the traces behind `ptrs`, made outside the sink's lock.
+std::vector<Trace> copy_traces(
+    const std::vector<std::shared_ptr<const Trace>>& ptrs) {
+  std::vector<Trace> out;
+  out.reserve(ptrs.size());
+  for (const auto& p : ptrs) out.push_back(*p);
+  return out;
 }
 
 }  // namespace
@@ -250,253 +188,77 @@ void annotate_current(std::string_view key, std::uint64_t value) {
   annotate_current(key, std::to_string(value));
 }
 
-// ---- encoding ------------------------------------------------------------
-
-std::string encode_trace(const Trace& t, std::uint64_t stamp,
-                         std::size_t max_bytes) {
-  std::string out;
-  out.reserve(std::min<std::size_t>(max_bytes, 4096));
-  put_u64(out, stamp);
-  put_u64(out, t.id);
-  put_u64(out, t.start_unix_ms);
-  put_u64(out, t.duration_ns);
-  put_string(out, t.endpoint);
-  // Span count and the dropped tally are patched after the cut is known.
-  const std::size_t count_pos = out.size();
-  put_u32(out, 0);  // encoded span count
-  put_u32(out, 0);  // dropped spans (collector drops + encoding cut)
-  std::uint32_t encoded = 0;
-  for (const Span& s : t.spans) {
-    if (out.size() + span_encoded_size(s) > max_bytes) break;
-    put_u32(out, s.parent);
-    put_u64(out, s.start_ns);
-    put_u64(out, s.end_ns);
-    put_string(out, s.name);
-    put_string(out, s.notes);
-    ++encoded;
-  }
-  const std::uint32_t dropped =
-      t.dropped_spans +
-      static_cast<std::uint32_t>(t.spans.size() - encoded);
-  std::string patch;
-  put_u32(patch, encoded);
-  put_u32(patch, dropped);
-  out.replace(count_pos, patch.size(), patch);
-  return out;
-}
-
-bool decode_trace(std::string_view bytes, Trace& out,
-                  std::uint64_t* stamp_out) {
-  std::string_view in = bytes;
-  std::uint64_t stamp = 0;
-  Trace t;
-  std::uint32_t count = 0;
-  if (!get_u64(in, stamp) || !get_u64(in, t.id) ||
-      !get_u64(in, t.start_unix_ms) || !get_u64(in, t.duration_ns) ||
-      !get_string(in, t.endpoint) || !get_u32(in, count) ||
-      !get_u32(in, t.dropped_spans)) {
-    return false;
-  }
-  if (count > kMaxSpansPerTrace) return false;
-  t.spans.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Span s;
-    s.id = i + 1;
-    if (!get_u32(in, s.parent) || !get_u64(in, s.start_ns) ||
-        !get_u64(in, s.end_ns) || !get_string(in, s.name) ||
-        !get_string(in, s.notes)) {
-      return false;
-    }
-    if (s.parent > count) return false;
-    t.spans.push_back(std::move(s));
-  }
-  out = std::move(t);
-  if (stamp_out != nullptr) *stamp_out = stamp;
-  return true;
-}
-
 // ---- TraceSink -----------------------------------------------------------
 
-TraceSink::TraceSink(SinkOptions opts) : opts_(opts) {
-  if (opts_.recent_slots == 0) opts_.recent_slots = 1;
-  if (opts_.slot_bytes < 256) opts_.slot_bytes = 256;
-  // One leading word carries the encoded byte length.
-  words_per_slot_ = 1 + (opts_.slot_bytes + 7) / 8;
-  ring_ = std::vector<Slot>(opts_.recent_slots);
-  for (Slot& s : ring_) {
-    s.words =
-        std::make_unique<std::atomic<std::uint64_t>[]>(words_per_slot_);
+void TraceSink::publish(Trace t) {
+  TracePtr p = std::make_shared<const Trace>(std::move(t));
+  // Pointers popped under the lock are released after it: the last
+  // reference to a trace frees all its spans.
+  TracePtr left_recent;
+  TracePtr left_slow;
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++published_;
+  recent_.push_front(p);
+  if (recent_.size() > kRecentTraces) {
+    left_recent = std::move(recent_.back());
+    recent_.pop_back();
   }
-}
-
-void TraceSink::write_slot(Slot& slot, const std::string& encoded) const {
-  // Claim the stamp: CAS even -> odd. A concurrent writer on this very
-  // slot (only possible after lapping the whole ring mid-write, or in the
-  // slowest-K tables where the writer mutex already prevents it) makes us
-  // spin briefly instead of interleaving stores.
-  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot.seq.compare_exchange_weak(seq, seq + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-      break;
-    }
-    if (seq & 1) seq = slot.seq.load(std::memory_order_relaxed);
-  }
-  // The acquire half of the CAS keeps these stores from hoisting above
-  // the odd stamp; the release store below keeps them from sinking past
-  // the even one. Readers reject any copy whose two stamp loads disagree.
-  slot.words[0].store(static_cast<std::uint64_t>(encoded.size()),
-                      std::memory_order_relaxed);
-  std::size_t w = 1;
-  for (std::size_t off = 0; off < encoded.size(); off += 8, ++w) {
-    std::uint64_t word = 0;
-    const std::size_t n = std::min<std::size_t>(8, encoded.size() - off);
-    std::memcpy(&word, encoded.data() + off, n);
-    slot.words[w].store(word, std::memory_order_relaxed);
-  }
-  slot.seq.store(seq + 2, std::memory_order_release);
-}
-
-bool TraceSink::read_slot(const Slot& slot, std::string& out) const {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0) return false;  // never written
-    if (s1 & 1) continue;       // writer mid-copy; retry
-    const std::uint64_t len = slot.words[0].load(std::memory_order_relaxed);
-    if (len > opts_.slot_bytes) return false;
-    out.resize(len);
-    std::size_t w = 1;
-    for (std::size_t off = 0; off < len; off += 8, ++w) {
-      const std::uint64_t word =
-          slot.words[w].load(std::memory_order_relaxed);
-      const std::size_t n = std::min<std::size_t>(8, len - off);
-      std::memcpy(out.data() + off, &word, n);
-    }
-    // The copy is only good if no writer touched the slot in between:
-    // loads above may not sink past this fence, and the stamp must match.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) == s1) return true;
-  }
-  return false;  // persistently contended; skip this slot
-}
-
-TraceSink::SlowTable& TraceSink::table_for(const std::string& endpoint) {
-  const std::lock_guard<std::mutex> lock(tables_mu_);
-  auto it = tables_.find(endpoint);
-  if (it == tables_.end()) {
-    auto table = std::make_unique<SlowTable>();
-    table->slots = std::vector<Slot>(opts_.slowest_per_endpoint);
-    for (Slot& s : table->slots) {
-      s.words =
-          std::make_unique<std::atomic<std::uint64_t>[]>(words_per_slot_);
-    }
-    table->durations = std::make_unique<std::atomic<std::uint64_t>[]>(
-        opts_.slowest_per_endpoint);
-    it = tables_.emplace(endpoint, std::move(table)).first;
-  }
-  return *it->second;
-}
-
-void TraceSink::publish(const Trace& t) {
-  const std::uint64_t stamp =
-      published_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::string encoded = encode_trace(t, stamp, opts_.slot_bytes);
-  const std::uint64_t slot_index =
-      head_.fetch_add(1, std::memory_order_relaxed) % ring_.size();
-  write_slot(ring_[slot_index], encoded);
-
-  if (opts_.slowest_per_endpoint == 0) return;
-  SlowTable& table = table_for(t.endpoint);
-  // Fast reject without the writer mutex: table full and this trace is no
-  // slower than the slowest-K floor.
-  if (table.filled.load(std::memory_order_relaxed) >=
-          opts_.slowest_per_endpoint &&
-      t.duration_ns <= table.floor.load(std::memory_order_relaxed)) {
+  std::vector<TracePtr>& table = slow_[p->endpoint];
+  // A full table keeps its entries unless this trace is strictly slower
+  // than the fastest of them; ties keep the earlier trace.
+  if (table.size() >= kSlowestPerEndpoint &&
+      p->duration_ns <= table.back()->duration_ns) {
     return;
   }
-  const std::lock_guard<std::mutex> lock(table.writer_mu);
-  std::size_t victim = 0;
-  std::uint64_t victim_duration = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < table.slots.size(); ++i) {
-    const std::uint64_t d =
-        table.durations[i].load(std::memory_order_relaxed);
-    if (d == 0) {  // empty slot wins outright
-      victim = i;
-      victim_duration = 0;
-      break;
-    }
-    if (d < victim_duration) {
-      victim = i;
-      victim_duration = d;
-    }
+  const auto at = std::upper_bound(
+      table.begin(), table.end(), p->duration_ns,
+      [](std::uint64_t d, const TracePtr& e) { return d > e->duration_ns; });
+  table.insert(at, std::move(p));
+  if (table.size() > kSlowestPerEndpoint) {
+    left_slow = std::move(table.back());
+    table.pop_back();
   }
-  if (victim_duration != 0 && t.duration_ns <= victim_duration) return;
-  write_slot(table.slots[victim], encoded);
-  table.durations[victim].store(t.duration_ns == 0 ? 1 : t.duration_ns,
-                                std::memory_order_relaxed);
-  std::size_t filled = 0;
-  std::uint64_t floor = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < table.slots.size(); ++i) {
-    const std::uint64_t d =
-        table.durations[i].load(std::memory_order_relaxed);
-    if (d == 0) continue;
-    ++filled;
-    floor = std::min(floor, d);
-  }
-  table.filled.store(filled, std::memory_order_relaxed);
-  table.floor.store(filled >= table.slots.size() ? floor : 0,
-                    std::memory_order_relaxed);
 }
 
 std::vector<Trace> TraceSink::recent() const {
-  std::vector<std::pair<std::uint64_t, Trace>> stamped;
-  stamped.reserve(ring_.size());
-  std::string bytes;
-  for (const Slot& slot : ring_) {
-    if (!read_slot(slot, bytes)) continue;
-    Trace t;
-    std::uint64_t stamp = 0;
-    if (!decode_trace(bytes, t, &stamp)) continue;
-    stamped.emplace_back(stamp, std::move(t));
+  std::vector<TracePtr> held;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    held.assign(recent_.begin(), recent_.end());
   }
-  std::sort(stamped.begin(), stamped.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<Trace> out;
-  out.reserve(stamped.size());
-  for (auto& [stamp, t] : stamped) out.push_back(std::move(t));
-  return out;
+  return copy_traces(held);
 }
 
 std::vector<std::pair<std::string, std::vector<Trace>>> TraceSink::slowest()
     const {
-  std::vector<std::pair<std::string, const SlowTable*>> tables;
+  std::vector<std::pair<std::string, std::vector<TracePtr>>> held;
   {
-    const std::lock_guard<std::mutex> lock(tables_mu_);
-    tables.reserve(tables_.size());
-    for (const auto& [name, table] : tables_) {
-      tables.emplace_back(name, table.get());
-    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    held.assign(slow_.begin(), slow_.end());
   }
   std::vector<std::pair<std::string, std::vector<Trace>>> out;
-  std::string bytes;
-  for (const auto& [name, table] : tables) {
-    std::vector<Trace> traces;
-    for (const Slot& slot : table->slots) {
-      if (!read_slot(slot, bytes)) continue;
-      Trace t;
-      if (!decode_trace(bytes, t, nullptr)) continue;
-      traces.push_back(std::move(t));
-    }
-    std::sort(traces.begin(), traces.end(), [](const Trace& a,
-                                               const Trace& b) {
-      return a.duration_ns != b.duration_ns ? a.duration_ns > b.duration_ns
-                                            : a.id < b.id;
-    });
-    out.emplace_back(name, std::move(traces));
+  out.reserve(held.size());
+  for (auto& [endpoint, ptrs] : held) {
+    out.emplace_back(std::move(endpoint), copy_traces(ptrs));
   }
   return out;
+}
+
+std::uint64_t TraceSink::published_total() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return published_;
+}
+
+void complete(Collector& c, TraceSink* sink, std::uint32_t slow_ms) {
+  Trace t = c.finish();
+  if (slow_ms != 0 && t.duration_ns > std::uint64_t{slow_ms} * 1'000'000ull) {
+    logx::warn("slow_job",
+               {{"trace", t.id},
+                {"endpoint", t.endpoint},
+                {"duration_ms", static_cast<double>(t.duration_ns) / 1e6},
+                {"spans", flatten_spans(t)}});
+  }
+  if (sink != nullptr) sink->publish(std::move(t));
 }
 
 // ---- rendering -----------------------------------------------------------

@@ -15,11 +15,11 @@
 //             themselves (explicitly, or via the thread-local Context so
 //             deep layers like ResultCache can annotate the span that is
 //             currently open without signature changes).
-//   TraceSink the server-wide retention buffer: a fixed-slot,
-//             seqlock-stamped ring of the last N completed traces, plus a
-//             "slowest K per endpoint" reservoir. GET /tracez renders
-//             both; `submit --trace` echoes one trace before it is even
-//             published.
+//   TraceSink the server-wide retention buffer: the last kRecentTraces
+//             completed traces plus the kSlowestPerEndpoint slowest per
+//             endpoint, held as shared pointers under one mutex. GET
+//             /tracez renders both; `submit --trace` echoes one trace
+//             before it is even published.
 //
 // Cost model: tracing is always-on. When the runtime kill switch is off
 // (DISTAPX_TRACE=off, or set_enabled(false)), the serving layers create
@@ -27,18 +27,16 @@
 // thread-local load and a null check. When on, opening+closing a span is
 // two steady_clock reads and one short uncontended mutex-protected append
 // to the job's own Collector; publication into the sink happens once per
-// *job* (not per span) and copies the encoded trace into a slot as
-// relaxed atomic words under a seqlock stamp, so concurrent /tracez
-// readers never lock writers out and never observe a torn trace —
-// a reader that catches a slot mid-write simply retries or skips it.
+// *job* (not per span), moves the finished trace onto the heap, and holds
+// the sink's mutex only for a few pointer pushes and pops.
 //
 // Nothing here participates in the determinism contract: traces carry
 // wall-clock timings only and never touch RESULT payload bytes.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,7 +83,7 @@ struct Trace {
   std::string endpoint;        ///< "submit", "spool", ...
   std::uint64_t start_unix_ms = 0;  ///< wall clock, display only
   std::uint64_t duration_ns = 0;    ///< trace start -> finish/snapshot
-  std::uint32_t dropped_spans = 0;  ///< beyond kMaxSpansPerTrace or slot space
+  std::uint32_t dropped_spans = 0;  ///< beyond kMaxSpansPerTrace
   std::vector<Span> spans;
 };
 
@@ -191,88 +189,50 @@ void annotate_current(std::string_view key, std::uint64_t value);
 
 // ---- the retention sink --------------------------------------------------
 
-struct SinkOptions {
-  std::size_t recent_slots = 128;        ///< last-N ring
-  std::size_t slowest_per_endpoint = 8;  ///< reservoir size K
-  /// Byte budget per slot; a trace whose encoding exceeds it keeps its
-  /// earliest spans and counts the rest into dropped_spans.
-  std::size_t slot_bytes = 16 * 1024;
-};
+inline constexpr std::size_t kRecentTraces = 128;      ///< last-N window
+inline constexpr std::size_t kSlowestPerEndpoint = 8;  ///< slowest-K table
 
-/// Server-wide retention: the last N completed traces plus the slowest K
-/// per endpoint. publish() is called once per completed job; readers
-/// (GET /tracez) decode slots without taking any writer-side lock.
+/// Server-wide retention: the last kRecentTraces completed traces plus the
+/// kSlowestPerEndpoint slowest per endpoint. publish() is called once per
+/// completed job; both views point at the same stored trace.
 ///
-/// Concurrency: every slot is an array of relaxed-atomic words stamped
-/// with a seqlock sequence. Writers claim a slot's stamp with a CAS to an
-/// odd value, copy the encoded trace word-by-word, then release-store the
-/// even successor; readers copy the words between two stamp loads and
-/// discard the copy unless both loads agree on an even value. Slot
-/// assignment is a single fetch_add on the ring head, so concurrent
-/// publishers collide on one slot only after lapping the whole ring
-/// mid-write — and then the stamp CAS makes the late writer spin, never
-/// tear. The slowest-K tables serialize *writers* through a small mutex
-/// (publication is per job, not per span); their readers use the same
-/// lock-free slot protocol.
+/// Concurrency: one mutex guards the pointer containers only. Readers
+/// copy the pointers under it and the traces after releasing it, so a
+/// /tracez read never holds up a publishing lane.
 class TraceSink {
  public:
-  explicit TraceSink(SinkOptions opts = {});
+  TraceSink() = default;
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  void publish(const Trace& t);
+  void publish(Trace t);
 
-  /// Decoded retained traces, newest first. Size <= recent_slots.
+  /// Retained traces, newest first. Size <= kRecentTraces.
   [[nodiscard]] std::vector<Trace> recent() const;
   /// Per endpoint (sorted by name), the retained slowest traces, slowest
-  /// first. Size of each <= slowest_per_endpoint.
+  /// first; equal durations keep publish order. Size of each <=
+  /// kSlowestPerEndpoint.
   [[nodiscard]] std::vector<std::pair<std::string, std::vector<Trace>>>
   slowest() const;
 
-  [[nodiscard]] std::uint64_t published_total() const noexcept {
-    return published_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const SinkOptions& options() const noexcept { return opts_; }
+  [[nodiscard]] std::uint64_t published_total() const;
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};  ///< 0 = never written; odd = busy
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-  };
-  struct SlowTable {
-    std::mutex writer_mu;
-    std::vector<Slot> slots;
-    /// Duration per slot, 0 = empty. The fast reject path (full table,
-    /// new trace no slower than the floor) reads `floor` only.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> durations;
-    std::atomic<std::uint64_t> floor{0};  ///< min duration once full
-    std::atomic<std::size_t> filled{0};
-  };
+  using TracePtr = std::shared_ptr<const Trace>;
 
-  void write_slot(Slot& slot, const std::string& encoded) const;
-  [[nodiscard]] bool read_slot(const Slot& slot, std::string& out) const;
-  SlowTable& table_for(const std::string& endpoint);
-
-  SinkOptions opts_;
-  std::size_t words_per_slot_;
-  std::vector<Slot> ring_;
-  std::atomic<std::uint64_t> head_{0};       ///< next ring slot (mod size)
-  std::atomic<std::uint64_t> published_{0};  ///< also the publish stamp
-  mutable std::mutex tables_mu_;  ///< guards the map, never the slots
-  std::map<std::string, std::unique_ptr<SlowTable>> tables_;
+  mutable std::mutex mu_;
+  std::deque<TracePtr> recent_;                        ///< newest first
+  std::map<std::string, std::vector<TracePtr>> slow_;  ///< slowest first
+  std::uint64_t published_ = 0;
 };
 
-// ---- encoding & rendering ------------------------------------------------
+/// Completes one served job's trace: closes its open spans, emits the
+/// slow_job warning when it ran longer than `slow_ms` (0 = never), then
+/// moves it into `sink` (null = keep nothing). The logger's per-event
+/// token bucket rate-limits a storm of slow jobs.
+void complete(Collector& c, TraceSink* sink, std::uint32_t slow_ms);
 
-/// Compact binary encoding of a trace, truncated to `max_bytes` (whole
-/// spans only; the cut count lands in dropped_spans). `stamp` orders
-/// decoded traces newest-first. Exposed for the torn-read tests.
-std::string encode_trace(const Trace& t, std::uint64_t stamp,
-                         std::size_t max_bytes);
-/// Strict inverse; false on any truncation or length inconsistency (a
-/// torn slot copy must never decode). `stamp_out` may be null.
-bool decode_trace(std::string_view bytes, Trace& out,
-                  std::uint64_t* stamp_out);
+// ---- rendering -----------------------------------------------------------
 
 /// "12.345ms" — fixed sub-ms precision so columns align in /tracez.
 std::string format_duration_ms(std::uint64_t ns);

@@ -1,18 +1,19 @@
-// Per-job tracing plane: collector span trees, the binary trace
-// encoding, ring retention, slowest-K reservoir semantics, rendering,
-// and — under the TSan CI lane (TraceConcurrency) — the seqlock slot
-// protocol: concurrent publishers and readers must never observe a torn
-// trace.
+// Per-job tracing plane: collector span trees, last-N retention,
+// slowest-K table semantics, whole-trace retention, rendering, and —
+// under the TSan CI lane (TraceConcurrency) — the sink's locking:
+// concurrent publishers and readers must never observe a torn trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace distapx::trace {
@@ -103,83 +104,43 @@ TEST(Trace, ContextGuardRoutesScopedSpansAndAnnotations) {
   EXPECT_EQ(t.spans[1].notes, "seed=5 outcome=miss");
 }
 
-TEST(Trace, EncodeDecodeRoundTrips) {
-  const Trace t = make_trace(42, "submit", 5);
-  const std::string bytes = encode_trace(t, /*stamp=*/77, /*max_bytes=*/1 << 16);
-  Trace back;
-  std::uint64_t stamp = 0;
-  ASSERT_TRUE(decode_trace(bytes, back, &stamp));
-  EXPECT_EQ(stamp, 77u);
-  EXPECT_EQ(back.id, t.id);
-  EXPECT_EQ(back.endpoint, t.endpoint);
-  EXPECT_EQ(back.duration_ns, t.duration_ns);
-  ASSERT_EQ(back.spans.size(), t.spans.size());
-  for (std::size_t i = 0; i < t.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, t.spans[i].name);
-    EXPECT_EQ(back.spans[i].parent, t.spans[i].parent);
-    EXPECT_EQ(back.spans[i].start_ns, t.spans[i].start_ns);
-    EXPECT_EQ(back.spans[i].end_ns, t.spans[i].end_ns);
-    EXPECT_EQ(back.spans[i].notes, t.spans[i].notes);
-  }
-}
-
-TEST(Trace, EncodeTruncatesWholeSpansIntoDroppedCount) {
-  const Trace t = make_trace(1, "submit", 64);
-  // Small budget: only a prefix of spans fits.
-  const std::string bytes = encode_trace(t, 1, /*max_bytes=*/256);
-  EXPECT_LE(bytes.size(), 256u);
-  Trace back;
-  ASSERT_TRUE(decode_trace(bytes, back, nullptr));
-  EXPECT_LT(back.spans.size(), t.spans.size());
-  EXPECT_EQ(back.dropped_spans,
-            static_cast<std::uint32_t>(t.spans.size() - back.spans.size()));
-  // The survivors are the earliest spans, intact.
-  for (std::size_t i = 0; i < back.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, t.spans[i].name);
-  }
-}
-
-TEST(Trace, DecodeRejectsTruncatedBytes) {
-  const Trace t = make_trace(2, "submit", 3);
-  const std::string bytes = encode_trace(t, 1, 1 << 16);
-  Trace back;
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(decode_trace(std::string_view(bytes).substr(0, cut), back,
-                              nullptr))
-        << "prefix of " << cut << " bytes decoded";
-  }
-  EXPECT_TRUE(decode_trace(bytes, back, nullptr));
-}
-
 TEST(Trace, RingRetainsLastNNewestFirst) {
-  SinkOptions opts;
-  opts.recent_slots = 4;
-  TraceSink sink(opts);
-  for (std::uint64_t i = 1; i <= 10; ++i) {
+  TraceSink sink;
+  const std::uint64_t total = kRecentTraces + 6;
+  for (std::uint64_t i = 1; i <= total; ++i) {
     sink.publish(make_trace(i, "submit", 1));
   }
-  EXPECT_EQ(sink.published_total(), 10u);
+  EXPECT_EQ(sink.published_total(), total);
   const std::vector<Trace> got = sink.recent();
-  ASSERT_EQ(got.size(), 4u);
-  // Newest first: ids 10, 9, 8, 7.
+  ASSERT_EQ(got.size(), kRecentTraces);
+  // Newest first: ids total, total-1, ..., 7.
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, 10 - i);
+    EXPECT_EQ(got[i].id, total - i);
   }
 }
 
 TEST(Trace, SlowestTableKeepsTheKSlowestPerEndpoint) {
-  SinkOptions opts;
-  opts.slowest_per_endpoint = 3;
-  TraceSink sink(opts);
-  // Publish with synthetic durations; ids track durations for checking.
-  for (std::uint64_t d : {50, 10, 90, 20, 70, 30, 60}) {
-    Trace t = make_trace(d, "submit", 1);
-    t.duration_ns = d * 1'000'000;
-    sink.publish(t);
+  TraceSink sink;
+  std::uint64_t next_id = 0;
+  const auto publish_ms = [&](std::uint64_t ms) {
+    Trace t = make_trace(++next_id, "submit", 1);
+    t.duration_ns = ms * 1'000'000;
+    sink.publish(std::move(t));
+    return next_id;
+  };
+  // K+4 durations 10, 20, ..., (K+4)*10 ms, alternating from both ends
+  // (10, (K+4)*10, 20, ...) so inserts land at the front, the back and in
+  // between, and full-table rejects happen too.
+  const std::uint64_t n = kSlowestPerEndpoint + 4;
+  for (std::uint64_t lo = 1, hi = n; lo <= hi; ++lo, --hi) {
+    publish_ms(lo * 10);
+    if (lo != hi) publish_ms(hi * 10);
   }
+  // A late trace tying the K-th slowest (50 ms) must not displace it.
+  const std::uint64_t tie_id = publish_ms((n - kSlowestPerEndpoint + 1) * 10);
   Trace other = make_trace(999, "spool", 1);
   other.duration_ns = 1;
-  sink.publish(other);
+  sink.publish(std::move(other));
 
   const auto tables = sink.slowest();
   ASSERT_EQ(tables.size(), 2u);  // sorted by endpoint name
@@ -188,11 +149,108 @@ TEST(Trace, SlowestTableKeepsTheKSlowestPerEndpoint) {
   EXPECT_EQ(tables[0].second[0].id, 999u);
   EXPECT_EQ(tables[1].first, "submit");
   const std::vector<Trace>& slow = tables[1].second;
-  ASSERT_EQ(slow.size(), 3u);
-  // Slowest first: 90, 70, 60.
-  EXPECT_EQ(slow[0].id, 90u);
-  EXPECT_EQ(slow[1].id, 70u);
-  EXPECT_EQ(slow[2].id, 60u);
+  ASSERT_EQ(slow.size(), kSlowestPerEndpoint);
+  // Slowest first: (K+4)*10, ..., 50 ms; the tie lost to the earlier 50.
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(slow[i].duration_ns, (n - i) * 10 * 1'000'000) << "entry " << i;
+    EXPECT_NE(slow[i].id, tie_id) << "a tie displaced an earlier trace";
+  }
+}
+
+TEST(Trace, SinkRetainsAFullSizeTraceWhole) {
+  // A trace at the Collector's span cap, every span annotated, comes back
+  // from both views with nothing cut.
+  Collector c(1, "submit");
+  for (std::uint32_t i = 0; i < kMaxSpansPerTrace; ++i) {
+    const std::uint32_t s = c.begin("cache-lookup");
+    c.annotate(s, "seed", static_cast<std::uint64_t>(i));
+    c.annotate(s, "outcome", "hit");
+    c.end(s);
+  }
+  TraceSink sink;
+  sink.publish(c.finish());
+  const std::vector<Trace> rec = sink.recent();
+  ASSERT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec[0].spans.size(), kMaxSpansPerTrace);
+  EXPECT_EQ(rec[0].dropped_spans, 0u);
+  EXPECT_EQ(rec[0].spans.back().notes,
+            "seed=" + std::to_string(kMaxSpansPerTrace - 1) + " outcome=hit");
+  const auto tables = sink.slowest();
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_EQ(tables[0].second.size(), 1u);
+  EXPECT_EQ(tables[0].second[0].spans.size(), kMaxSpansPerTrace);
+}
+
+TEST(Trace, EachViewKeepsItsTracesWhenTheOtherDropsThem) {
+  // Both views hold the same stored trace: a slow trace must outlive its
+  // fall out of the recent window, and a trace pushed out of the slowest
+  // table must stay in the recent window.
+  TraceSink sink;
+  Trace slow = make_trace(1, "submit", 3);
+  slow.duration_ns = 1'000'000'000;
+  sink.publish(std::move(slow));
+  // kRecentTraces + K faster traces follow, each slower than the one
+  // before, so each displaces the fastest fast trace from the table.
+  std::uint64_t id = 1;
+  for (std::size_t i = 0; i < kRecentTraces + kSlowestPerEndpoint; ++i) {
+    Trace t = make_trace(++id, "submit", 1);
+    t.duration_ns = 1'000 + id;  // later is slower, all below `slow`
+    sink.publish(std::move(t));
+  }
+
+  const std::vector<Trace> rec = sink.recent();
+  ASSERT_EQ(rec.size(), kRecentTraces);
+  EXPECT_EQ(rec.front().id, id);
+  EXPECT_EQ(rec.back().id, id - kRecentTraces + 1);
+  for (const Trace& t : rec) EXPECT_NE(t.id, 1u) << "slow trace still recent";
+  // The displaced fast traces that are still in the window read back whole.
+  const Trace& oldest = rec.back();
+  ASSERT_EQ(oldest.spans.size(), 1u);
+  EXPECT_EQ(oldest.spans[0].notes, "i=1");
+
+  const auto tables = sink.slowest();
+  ASSERT_EQ(tables.size(), 1u);
+  const std::vector<Trace>& table = tables[0].second;
+  ASSERT_EQ(table.size(), kSlowestPerEndpoint);
+  // `slow` left the recent window long ago but is still retained, whole.
+  EXPECT_EQ(table[0].id, 1u);
+  ASSERT_EQ(table[0].spans.size(), 3u);
+  EXPECT_EQ(table[0].spans[2].name, "s3");
+  EXPECT_EQ(table[0].spans[2].notes, "i=3");
+  // The rest are the newest (slowest) fast traces, slowest first.
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    EXPECT_EQ(table[i].id, id - (i - 1)) << "entry " << i;
+  }
+}
+
+TEST(Trace, CompleteWarnsPastSlowMsThenPublishes) {
+  std::vector<std::string> lines;
+  logx::set_sink_for_testing(
+      [&](const std::string& line) { lines.push_back(line); });
+  TraceSink sink;
+  Collector fast(1, "spool");
+  fast.begin("serve-file");
+  complete(fast, &sink, /*slow_ms=*/60'000);  // within budget: no line
+  Collector slow(2, "submit");
+  slow.begin("queue-wait");  // left open: complete() closes it
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  complete(slow, &sink, /*slow_ms=*/1);
+  Collector unbudgeted(3, "submit");
+  complete(unbudgeted, nullptr, /*slow_ms=*/0);  // neither logs nor keeps
+  logx::set_sink_for_testing(nullptr);
+
+  ASSERT_EQ(lines.size(), 1u);
+  for (const char* field : {"event=slow_job", "trace=2", "endpoint=submit",
+                            "duration_ms=", "queue-wait="}) {
+    EXPECT_NE(lines[0].find(field), std::string::npos) << lines[0];
+  }
+  EXPECT_EQ(sink.published_total(), 2u);
+  const std::vector<Trace> rec = sink.recent();
+  ASSERT_EQ(rec.size(), 2u);
+  EXPECT_EQ(rec[0].id, 2u);
+  ASSERT_EQ(rec[0].spans.size(), 1u);
+  EXPECT_NE(rec[0].spans[0].end_ns, 0u);
+  EXPECT_EQ(rec[1].id, 1u);
 }
 
 TEST(Trace, RenderTraceTreeShowsHierarchyAndNotes) {
@@ -245,13 +303,10 @@ TEST(Trace, KillSwitchFlipsAndRestores) {
   set_enabled(was);
 }
 
-// ---- the seqlock contention suite (runs under TSan in CI) ----------------
+// ---- the sink contention suite (runs under TSan in CI) -------------------
 
 TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
-  SinkOptions opts;
-  opts.recent_slots = 8;  // small ring: writers lap it constantly
-  opts.slowest_per_endpoint = 4;
-  TraceSink sink(opts);
+  TraceSink sink;  // 3200 publishes lap the kRecentTraces window 25 times
 
   constexpr int kWriters = 8;
   constexpr std::uint64_t kPerWriter = 400;
@@ -259,9 +314,8 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   std::atomic<std::uint64_t> reads{0};
 
   // The reader hammers recent()/slowest() while writers publish. Every
-  // decoded trace must be internally consistent — decode_trace already
-  // rejects torn bytes, so consistency here means: the id round-trips
-  // into the span payload we encoded for it.
+  // trace it copies must be internally consistent: the id matches the
+  // span payload published with it.
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       for (const Trace& t : sink.recent()) {
@@ -293,7 +347,7 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
         c.end(b);
         Trace t = c.finish();
         t.duration_ns = id;  // deterministic, distinct durations
-        sink.publish(t);
+        sink.publish(std::move(t));
       }
     });
   }
@@ -304,11 +358,11 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   EXPECT_EQ(sink.published_total(), kWriters * kPerWriter);
   EXPECT_GT(reads.load(), 0u);
 
-  // Quiescent invariants. Retention: exactly recent_slots traces, all
-  // decodable, newest-first by publish stamp (strictly decreasing ids
-  // are not guaranteed across writers, but distinctness is).
+  // Quiescent invariants. Retention: exactly kRecentTraces traces
+  // (strictly decreasing ids are not guaranteed across writers, but
+  // distinctness is).
   const std::vector<Trace> rec = sink.recent();
-  ASSERT_EQ(rec.size(), opts.recent_slots);
+  ASSERT_EQ(rec.size(), kRecentTraces);
   std::set<std::uint64_t> ids;
   for (const Trace& t : rec) ids.insert(t.id);
   EXPECT_EQ(ids.size(), rec.size()) << "duplicate trace in the ring";
@@ -318,11 +372,11 @@ TEST(TraceConcurrency, ConcurrentPublishersAndReaderSeeNoTornTraces) {
   const auto tables = sink.slowest();
   ASSERT_EQ(tables.size(), 1u);
   const std::vector<Trace>& slow = tables[0].second;
-  ASSERT_EQ(slow.size(), opts.slowest_per_endpoint);
+  ASSERT_EQ(slow.size(), kSlowestPerEndpoint);
   const std::uint64_t total = kWriters * kPerWriter;
   for (std::size_t i = 0; i < slow.size(); ++i) {
     EXPECT_EQ(slow[i].id, total - 1 - i)
-        << "slot " << i << " is not the " << i << "-th slowest";
+        << "entry " << i << " is not the " << i << "-th slowest";
   }
 }
 
