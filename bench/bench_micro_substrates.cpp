@@ -3,9 +3,13 @@
 // experiments are visible.
 #include <benchmark/benchmark.h>
 
+#include "graph/bipartite.hpp"
 #include "graph/generators.hpp"
 #include "graph/line_graph.hpp"
+#include "matching/baselines.hpp"
+#include "matching/bipartite_paths.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/mcm_congest.hpp"
 #include "mis/luby.hpp"
 #include "sim/aggregation.hpp"
 #include "support/random.hpp"
@@ -61,6 +65,41 @@ void BM_HopcroftKarp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HopcroftKarp)->Arg(512)->Arg(2048);
+
+/// Table-1 row 4 (Thm B.12) at ε = 0.5 on gnp(n, p/1000), run seeds 1-3
+/// per iteration so every iteration does the same work. Its time is the
+/// Appendix B.3 augmenting-path search; {100, 30} is the served row.
+void BM_Mcm1Eps(benchmark::State& state) {
+  Rng rng(7);
+  const Graph g = gen::gnp(static_cast<NodeId>(state.range(0)),
+                           static_cast<double>(state.range(1)) / 1000.0, rng);
+  McmCongestParams params;
+  params.epsilon = 0.5;
+  for (auto _ : state) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      benchmark::DoNotOptimize(run_mcm_1eps_congest(g, seed, params));
+    }
+  }
+}
+BENCHMARK(BM_Mcm1Eps)
+    ->Args({100, 30})
+    ->Args({300, 20})
+    ->Unit(benchmark::kMillisecond);
+
+/// One Claim B.5/B.6 traversal counting the length-3 augmenting paths
+/// through every node, over a greedy maximal matching.
+void BM_AugPathCount(benchmark::State& state) {
+  Rng rng(8);
+  const auto n = static_cast<NodeId>(state.range(0));
+  const Graph g = gen::bipartite_gnp(n, n, 6.0 / n, rng);
+  const Bipartition parts = *try_bipartition(g);
+  const auto mate = mates_of(g, greedy_maximal_matching(g).matching);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        count_augmenting_paths_per_node(g, parts, mate, 3));
+  }
+}
+BENCHMARK(BM_AugPathCount)->Arg(512)->Arg(4096);
 
 /// Cost of one aggregation super-round on the line graph (the Thm 2.8
 /// mechanism, no explicit line graph).

@@ -24,6 +24,15 @@
 // iterations (light path mass >= 1/(dK^{2d})) without being removed are
 // deactivated — each such event has probability <= δ (Lemma B.10) — and
 // Lemma B.11 bounds the total iterations until no length-d path remains.
+//
+// Cost. A search call allocates its O(n + m) workspaces once. After that
+// one iteration costs O(touched DAG): the nodes and edges its two sweeps
+// reach from the usable free A-nodes, plus a pass over the free A-node
+// list, plus sorting the DAG's free B end nodes and each sender's edges by
+// id, so that every sum and every RNG draw happens in the order of a full
+// scan. Attenuation visits only the heavy nodes and those still below
+// their initial α; deactivation checks only the nodes whose good count
+// moved. Nothing per iteration scans all n nodes or all m edges.
 #pragma once
 
 #include <vector>
@@ -38,7 +47,8 @@ namespace distapx {
 /// Per-node counts of shortest (length exactly d) augmenting paths through
 /// each node, via the forward+backward traversal with unit start values
 /// (Claim B.5). `mate` defines the matching; A-side = parts left. Only
-/// nodes with active[v] participate (empty = all).
+/// nodes with active[v] participate (empty = all). `parts`, `mate` and a
+/// non-empty `active` must have one entry per node (EnsureError if not).
 ///
 /// Returns counts as doubles (the traversal computes them by proportional
 /// splitting; they are integral up to FP error for unit starts).
@@ -75,6 +85,8 @@ struct AugPathSearchResult {
 /// Finds and flips a nearly-maximal set of vertex-disjoint length-d
 /// augmenting paths in a bipartite graph (the core of Theorem B.12).
 /// `mate` is updated in place; `active` nodes shrink by deactivations.
+/// `parts`, `mate` and `active` must have one entry per node (EnsureError
+/// if not).
 AugPathSearchResult find_and_flip_aug_paths_bipartite(
     const Graph& g, const Bipartition& parts, std::vector<NodeId>& mate,
     std::vector<bool>& active, const AugPathSearchParams& params, Rng& rng);
