@@ -3,6 +3,7 @@
 // experiments are visible.
 #include <benchmark/benchmark.h>
 
+#include "graph/algos.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/generators.hpp"
 #include "graph/line_graph.hpp"
@@ -44,6 +45,19 @@ void BM_LineGraphConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LineGraphConstruction)->Arg(512)->Arg(1024);
+
+/// One mwm-2eps bucket on the served row's graph: an edge subgraph that
+/// keeps all n nodes but only ~5% of the edges.
+void BM_EdgeSubgraph(benchmark::State& state) {
+  Rng rng(9);
+  const Graph g = gen::gnp(1500, 0.005, rng);
+  std::vector<bool> mask(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) mask[e] = rng.bernoulli(0.05);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(edge_subgraph(g, mask));
+  }
+}
+BENCHMARK(BM_EdgeSubgraph);
 
 void BM_LubyMis(benchmark::State& state) {
   Rng rng(4);

@@ -74,34 +74,27 @@ Graph gnp(NodeId n, double p, Rng& rng) {
   GraphBuilder b(n);
   if (p <= 0.0 || n < 2) return b.build();
   if (p >= 1.0) return complete(n);
-  // Geometric skipping over the upper-triangular pair sequence: O(m).
+  // Geometric skipping over the upper-triangular pair sequence: O(n + m).
   const double log1mp = std::log1p(-p);
   std::uint64_t idx = 0;  // linear index into pairs (u,v), u<v
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  // Row cursor: idx only grows, so the row u holding it only moves forward.
+  NodeId u = 0;
+  std::uint64_t row_start = 0;  // linear index of the pair (u, u+1)
   for (;;) {
-    // Geometric(p) gap: floor(ln(1-U) / ln(1-p)).
+    // Geometric(p) gap: floor(ln(1-U) / ln(1-p)). At tiny p it can exceed
+    // 2^64, which lies past the last pair as well.
     const double r = rng.next_double();
-    const auto skip =
-        static_cast<std::uint64_t>(std::floor(std::log1p(-r) / log1mp));
+    const double gap = std::floor(std::log1p(-r) / log1mp);
+    if (gap >= 0x1p64) break;
+    const auto skip = static_cast<std::uint64_t>(gap);
+    if (skip >= total - idx) break;
     idx += skip;
-    if (idx >= total) break;
-    // Invert linear index to (u, v).
-    // u is the largest value with u*(2n-u-1)/2 <= idx.
-    auto row_start = [&](std::uint64_t u) {
-      return u * (2 * static_cast<std::uint64_t>(n) - u - 1) / 2;
-    };
-    std::uint64_t lo = 0, hi = n - 1;
-    while (lo < hi) {
-      const std::uint64_t mid = (lo + hi + 1) / 2;
-      if (row_start(mid) <= idx) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
+    while (idx - row_start >= n - 1 - u) {
+      row_start += n - 1 - u;
+      ++u;
     }
-    const auto u = static_cast<NodeId>(lo);
-    const auto v = static_cast<NodeId>(u + 1 + (idx - row_start(lo)));
-    b.add_edge(u, v);
+    b.add_edge(u, static_cast<NodeId>(u + 1 + (idx - row_start)));
     ++idx;
   }
   return b.build();
@@ -116,54 +109,86 @@ Graph bipartite_gnp(NodeId a, NodeId b, double p, Rng& rng) {
   return builder.build();
 }
 
+namespace {
+
+/// Adjacency of a graph under construction whose degrees never exceed
+/// `width`: row v of one flat n x width table lists v's neighbours so far.
+/// The random generators that can draw a pair twice use it to find
+/// duplicates in O(width) without a per-node allocation.
+class NeighbourTable {
+ public:
+  NeighbourTable(NodeId n, std::uint32_t width)
+      : width_(width), nbr_(static_cast<std::size_t>(n) * width), deg_(n, 0) {}
+
+  void clear() { std::fill(deg_.begin(), deg_.end(), 0); }
+
+  [[nodiscard]] std::uint32_t degree(NodeId v) const { return deg_[v]; }
+
+  [[nodiscard]] bool adjacent(NodeId u, NodeId v) const {
+    const NodeId* row = nbr_.data() + static_cast<std::size_t>(u) * width_;
+    return std::find(row, row + deg_[u], v) != row + deg_[u];
+  }
+
+  void link(NodeId u, NodeId v) {
+    nbr_[static_cast<std::size_t>(u) * width_ + deg_[u]++] = v;
+    nbr_[static_cast<std::size_t>(v) * width_ + deg_[v]++] = u;
+  }
+
+ private:
+  std::uint32_t width_;
+  std::vector<NodeId> nbr_;
+  std::vector<std::uint32_t> deg_;
+};
+
+}  // namespace
+
 Graph random_regular(NodeId n, std::uint32_t d, Rng& rng) {
   DISTAPX_ENSURE_MSG((static_cast<std::uint64_t>(n) * d) % 2 == 0,
                      "n*d must be even");
   DISTAPX_ENSURE(d < n);
   constexpr int kMaxRetries = 64;
+  NeighbourTable table(n, d);
+  std::vector<NodeId> stubs(static_cast<std::size_t>(n) * d);
   for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     // Pairing (configuration) model: d stubs per node, random perfect
     // matching of stubs; reject self-loops / parallel edges.
-    std::vector<NodeId> stubs;
-    stubs.reserve(static_cast<std::size_t>(n) * d);
-    for (NodeId v = 0; v < n; ++v)
-      for (std::uint32_t k = 0; k < d; ++k) stubs.push_back(v);
+    for (NodeId v = 0; v < n; ++v) {
+      std::fill_n(stubs.begin() + static_cast<std::ptrdiff_t>(v) * d, d, v);
+    }
     rng.shuffle(stubs);
-    GraphBuilder b(n);
+    table.clear();
     bool ok = true;
     for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
       const NodeId u = stubs[i], v = stubs[i + 1];
-      if (u == v) {
-        ok = false;
+      if (u == v || table.adjacent(u, v)) {
+        ok = false;  // self-loop or duplicate pairing
         break;
       }
-      const EdgeId before = b.num_edges();
-      b.add_edge_if_absent(u, v);
-      if (b.num_edges() == before) {
-        ok = false;  // duplicate pairing
-        break;
-      }
+      table.link(u, v);
     }
-    if (ok) return b.build();
+    if (ok) {
+      GraphBuilder b(n);
+      for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
+        b.add_edge(stubs[i], stubs[i + 1]);
+      }
+      return b.build();
+    }
   }
   // Fallback: greedy near-regular construction (max degree still <= d).
   GraphBuilder b(n);
-  std::vector<std::uint32_t> deg(n, 0);
+  table.clear();
   std::vector<NodeId> order(n);
   for (NodeId v = 0; v < n; ++v) order[v] = v;
   for (std::uint32_t pass = 0; pass < d; ++pass) {
     rng.shuffle(order);
     for (NodeId i = 0; i < n; ++i) {
       const NodeId u = order[i];
-      if (deg[u] >= d) continue;
+      if (table.degree(u) >= d) continue;
       for (NodeId j = i + 1; j < n; ++j) {
         const NodeId v = order[j];
-        if (v == u || deg[v] >= d) continue;
-        const EdgeId before = b.num_edges();
-        b.add_edge_if_absent(u, v);
-        if (b.num_edges() == before) continue;  // already adjacent
-        ++deg[u];
-        ++deg[v];
+        if (v == u || table.degree(v) >= d || table.adjacent(u, v)) continue;
+        table.link(u, v);
+        b.add_edge(u, v);
         break;
       }
     }
@@ -175,18 +200,20 @@ Graph random_bounded_degree(NodeId n, std::uint32_t d, Rng& rng,
                             double edge_factor) {
   DISTAPX_ENSURE(n >= 2);
   GraphBuilder b(n);
-  std::vector<std::uint32_t> deg(n, 0);
+  // A node adjacent to all n-1 others never takes another edge, so no row
+  // needs more than min(d, n-1) slots.
+  NeighbourTable table(n, std::min<std::uint32_t>(d, n - 1));
   const auto attempts = static_cast<std::uint64_t>(
       edge_factor * static_cast<double>(n) * d / 2.0);
   for (std::uint64_t i = 0; i < attempts; ++i) {
     const auto u = static_cast<NodeId>(rng.next_below(n));
     const auto v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || deg[u] >= d || deg[v] >= d) continue;
-    const EdgeId before = b.num_edges();
-    b.add_edge_if_absent(u, v);
-    if (b.num_edges() == before) continue;  // already adjacent
-    ++deg[u];
-    ++deg[v];
+    if (u == v || table.degree(u) >= d || table.degree(v) >= d ||
+        table.adjacent(u, v)) {
+      continue;
+    }
+    table.link(u, v);
+    b.add_edge(u, v);
   }
   return b.build();
 }

@@ -35,7 +35,7 @@ Graph grid(NodeId rows, NodeId cols);
 /// d-dimensional hypercube (2^d nodes).
 Graph hypercube(std::uint32_t dims);
 
-/// Erdos-Renyi G(n, p).
+/// Erdos-Renyi G(n, p), by geometric skipping over the pairs: O(n + m).
 Graph gnp(NodeId n, double p, Rng& rng);
 
 /// Random bipartite graph: sides of size a and b, each cross pair present

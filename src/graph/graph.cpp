@@ -21,8 +21,6 @@ EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   return kInvalidEdge;
 }
 
-GraphBuilder::GraphBuilder(NodeId num_nodes) : n_(num_nodes), adj_(num_nodes) {}
-
 EdgeId GraphBuilder::add_edge(NodeId u, NodeId v) {
   DISTAPX_ENSURE_MSG(u < n_ && v < n_,
                      "edge (" << u << "," << v << ") out of range n=" << n_);
@@ -30,20 +28,7 @@ EdgeId GraphBuilder::add_edge(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.emplace_back(u, v);
-  adj_[u].emplace_back(v, id);
-  adj_[v].emplace_back(u, id);
   return id;
-}
-
-EdgeId GraphBuilder::add_edge_if_absent(NodeId u, NodeId v) {
-  DISTAPX_ENSURE(u < n_ && v < n_);
-  DISTAPX_ENSURE(u != v);
-  const auto& shorter = adj_[u].size() <= adj_[v].size() ? adj_[u] : adj_[v];
-  const NodeId target = adj_[u].size() <= adj_[v].size() ? v : u;
-  for (const auto& [to, id] : shorter) {
-    if (to == target) return id;
-  }
-  return add_edge(u, v);
 }
 
 Graph GraphBuilder::build() const {
@@ -55,26 +40,35 @@ Graph GraphBuilder::build() const {
     ++g.offsets_[u + 1];
     ++g.offsets_[v + 1];
   }
-  for (NodeId v = 0; v < n_; ++v) g.offsets_[v + 1] += g.offsets_[v];
+  for (NodeId v = 0; v < n_; ++v) {
+    g.max_deg_ = std::max(g.max_deg_, g.offsets_[v + 1]);
+    g.offsets_[v + 1] += g.offsets_[v];
+  }
 
-  g.adj_.resize(2 * edges_.size());
+  // Pass 1: group half-edges by owner, in edge order.
+  std::vector<HalfEdge> by_owner(2 * edges_.size());
   std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (EdgeId e = 0; e < edges_.size(); ++e) {
     const auto [u, v] = edges_[e];
-    g.adj_[cursor[u]++] = HalfEdge{v, e};
-    g.adj_[cursor[v]++] = HalfEdge{u, e};
+    by_owner[cursor[u]++] = HalfEdge{v, e};
+    by_owner[cursor[v]++] = HalfEdge{u, e};
+  }
+  // Pass 2: owners t in ascending order append (t, e) to each neighbour's
+  // list, so every list fills in ascending `to` order without a sort.
+  g.adj_.resize(2 * edges_.size());
+  std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+  for (NodeId t = 0; t < n_; ++t) {
+    for (std::uint32_t i = g.offsets_[t]; i < g.offsets_[t + 1]; ++i) {
+      const HalfEdge he = by_owner[i];
+      g.adj_[cursor[he.to]++] = HalfEdge{t, he.edge};
+    }
   }
   for (NodeId v = 0; v < n_; ++v) {
-    auto* first = g.adj_.data() + g.offsets_[v];
-    auto* last = g.adj_.data() + g.offsets_[v + 1];
-    std::sort(first, last,
-              [](const HalfEdge& a, const HalfEdge& b) { return a.to < b.to; });
-    for (auto* it = first; it + 1 < last; ++it) {
-      DISTAPX_ENSURE_MSG(it->to != (it + 1)->to,
-                         "parallel edge between " << v << " and " << it->to);
+    for (std::uint32_t i = g.offsets_[v]; i + 1 < g.offsets_[v + 1]; ++i) {
+      DISTAPX_ENSURE_MSG(g.adj_[i].to != g.adj_[i + 1].to,
+                         "parallel edge between " << v << " and "
+                                                  << g.adj_[i].to);
     }
-    g.max_deg_ = std::max<std::uint32_t>(
-        g.max_deg_, static_cast<std::uint32_t>(last - first));
   }
   return g;
 }

@@ -81,31 +81,30 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> endpoints_;  // size m, u < v
 };
 
-/// Incremental builder; build() validates simplicity and produces the CSR.
+/// Edge-list builder. Edge ids follow add_edge order; build() produces the
+/// CSR with every adjacency list ascending by neighbour id.
+///
+/// add_edge rejects out-of-range endpoints and self-loops with EnsureError
+/// at once. Parallel edges are not looked up at add time (callers that may
+/// produce duplicates track adjacency themselves); build() rejects them.
+/// build() is O(n + m): two counting passes, no comparison sort.
 class GraphBuilder {
  public:
-  explicit GraphBuilder(NodeId num_nodes);
+  explicit GraphBuilder(NodeId num_nodes) : n_(num_nodes) {}
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
   [[nodiscard]] EdgeId num_edges() const noexcept {
     return static_cast<EdgeId>(edges_.size());
   }
 
-  /// Adds undirected edge {u, v}. Self-loops and duplicates are rejected
-  /// with EnsureError at build() time (duplicates also at add time when the
-  /// edge already exists in insertion order — detected cheaply at build).
+  /// Adds undirected edge {u, v} and returns its id.
   EdgeId add_edge(NodeId u, NodeId v);
-
-  /// Adds the edge unless it already exists; returns its id either way.
-  /// O(current degree) lookup; intended for generators.
-  EdgeId add_edge_if_absent(NodeId u, NodeId v);
 
   [[nodiscard]] Graph build() const;
 
  private:
   NodeId n_;
   std::vector<std::pair<NodeId, NodeId>> edges_;  // normalized u < v
-  std::vector<std::vector<std::pair<NodeId, EdgeId>>> adj_;  // for lookups
 };
 
 }  // namespace distapx

@@ -7,13 +7,14 @@ namespace distapx {
 LineGraph::LineGraph(const Graph& base) : base_(&base) {
   GraphBuilder b(base.num_edges());
   // Two base edges are adjacent in L(G) iff they share an endpoint: for each
-  // base node, connect all pairs of incident edges.
+  // base node, connect all pairs of incident edges. Two distinct edges of a
+  // simple graph share at most one endpoint, so no pair is added twice.
   for (NodeId v = 0; v < base.num_nodes(); ++v) {
     const auto inc = base.neighbors(v);
     for (std::size_t i = 0; i < inc.size(); ++i) {
       for (std::size_t j = i + 1; j < inc.size(); ++j) {
-        b.add_edge_if_absent(static_cast<NodeId>(inc[i].edge),
-                             static_cast<NodeId>(inc[j].edge));
+        b.add_edge(static_cast<NodeId>(inc[i].edge),
+                   static_cast<NodeId>(inc[j].edge));
       }
     }
   }

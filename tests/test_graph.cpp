@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "graph/algos.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/generators.hpp"
+#include "graph/genspec.hpp"
 #include "graph/graph.hpp"
 #include "graph/hypergraph.hpp"
 #include "graph/line_graph.hpp"
@@ -30,14 +32,77 @@ TEST(GraphBuilder, RejectsParallelEdgesAtBuild) {
   b.add_edge(0, 1);
   b.add_edge(1, 0);
   EXPECT_THROW(b.build(), EnsureError);
+
+  // A duplicate added far from its twin is caught the same way.
+  GraphBuilder far(4);
+  far.add_edge(0, 1);
+  far.add_edge(1, 2);
+  far.add_edge(2, 0);
+  far.add_edge(0, 3);
+  far.add_edge(2, 1);
+  try {
+    (void)far.build();
+    ADD_FAILURE() << "parallel edge (1,2) accepted";
+  } catch (const EnsureError& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel edge between 1 and 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(GraphBuilder, AddEdgeIfAbsentDeduplicates) {
-  GraphBuilder b(3);
-  const EdgeId e1 = b.add_edge_if_absent(0, 1);
-  const EdgeId e2 = b.add_edge_if_absent(1, 0);
-  EXPECT_EQ(e1, e2);
-  EXPECT_EQ(b.num_edges(), 1u);
+TEST(GraphBuilder, BuildSortsAdjacencyWithoutSort) {
+  Rng rng(17);
+  const Graph src = gen::gnp(300, 0.05, rng);
+  std::vector<std::pair<NodeId, NodeId>> order;
+  for (EdgeId e = 0; e < src.num_edges(); ++e) {
+    auto [u, v] = src.endpoints(e);
+    if (rng.bernoulli(0.5)) std::swap(u, v);
+    order.emplace_back(u, v);
+  }
+  rng.shuffle(order);
+
+  GraphBuilder b(src.num_nodes());
+  for (const auto& [u, v] : order) b.add_edge(u, v);
+  const Graph g = b.build();
+
+  // Reference CSR: each node's half-edges in insertion order, then sorted.
+  std::vector<std::vector<HalfEdge>> ref(src.num_nodes());
+  for (EdgeId e = 0; e < order.size(); ++e) {
+    const auto [u, v] = order[e];
+    EXPECT_EQ(g.endpoints(e), std::make_pair(std::min(u, v), std::max(u, v)));
+    ref[u].push_back({v, e});
+    ref[v].push_back({u, e});
+  }
+  std::uint32_t max_deg = 0;
+  for (NodeId v = 0; v < src.num_nodes(); ++v) {
+    std::sort(ref[v].begin(), ref[v].end(),
+              [](const HalfEdge& a, const HalfEdge& c) { return a.to < c.to; });
+    const auto nbrs = g.neighbors(v);
+    ASSERT_EQ(nbrs.size(), ref[v].size()) << "node " << v;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      EXPECT_EQ(nbrs[i].to, ref[v][i].to) << "node " << v;
+      EXPECT_EQ(nbrs[i].edge, ref[v][i].edge) << "node " << v;
+      if (i > 0) {
+        EXPECT_LT(nbrs[i - 1].to, nbrs[i].to) << "node " << v;
+      }
+    }
+    max_deg = std::max<std::uint32_t>(max_deg, g.degree(v));
+  }
+  EXPECT_EQ(g.max_degree(), max_deg);
+  EXPECT_EQ(g.num_edges(), src.num_edges());
+
+  const Graph empty = GraphBuilder(0).build();
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  EXPECT_EQ(empty.num_edges(), 0u);
+  EXPECT_EQ(empty.max_degree(), 0u);
+
+  GraphBuilder sparse(5);
+  sparse.add_edge(3, 1);
+  const Graph s = sparse.build();
+  for (NodeId v : {0u, 2u, 4u}) EXPECT_TRUE(s.neighbors(v).empty());
+  EXPECT_EQ(s.neighbors(1)[0].to, 3u);
+  EXPECT_EQ(s.neighbors(3)[0].to, 1u);
+  EXPECT_EQ(s.max_degree(), 1u);
 }
 
 TEST(Graph, CsrStructure) {
@@ -104,6 +169,19 @@ TEST(Generators, GnpExtremes) {
   Rng rng(1);
   EXPECT_EQ(gen::gnp(10, 0.0, rng).num_edges(), 0u);
   EXPECT_EQ(gen::gnp(10, 1.0, rng).num_edges(), 45u);
+}
+
+TEST(Generators, GnpTinyProbabilityHasNoEdges) {
+  // The geometric gap exceeds 2^64 at these p; it must end the scan, not
+  // wrap the pair index (expected edge count < 1e-14 over all seeds).
+  for (double p : {1e-300, 1e-19, 5e-20}) {
+    std::uint64_t edges = 0;
+    for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+      Rng rng(seed);
+      edges += gen::gnp(200, p, rng).num_edges();
+    }
+    EXPECT_EQ(edges, 0u) << "p=" << p;
+  }
 }
 
 TEST(Generators, RandomRegularDegrees) {
@@ -325,6 +403,128 @@ TEST(Algos, EdgeSubgraph) {
   EXPECT_EQ(sub.graph.num_nodes(), 4u);
   EXPECT_EQ(sub.graph.num_edges(), 2u);
   EXPECT_EQ(sub.original_edge, (std::vector<EdgeId>{0, 2}));
+}
+
+// ---- bit-identity pins ----------------------------------------------------
+//
+// 64-bit FNV-1a digests of generated graphs and of the subgraphs and line
+// graphs built from them. Every EdgeId, the CSR order and the RNG draws a
+// generator makes are part of a graph's identity: algorithm rows, cache
+// entries and golden files all depend on them. A change to the builder or
+// a generator that moves any of them fails here before it moves a row.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  void add_graph(const Graph& g) {
+    add(g.num_nodes());
+    add(g.num_edges());
+    add(g.max_degree());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto [u, v] = g.endpoints(e);
+      add(u);
+      add(v);
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (const HalfEdge& he : g.neighbors(v)) {
+        add(he.to);
+        add(he.edge);
+      }
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Digest over seeds 1..20 of the spec's graph, an edge subgraph and an
+/// induced subgraph under seeded masks, and the graph's line graph.
+std::uint64_t spec_digest(const std::string& spec) {
+  Fnv1a h;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Graph g = gen::from_spec(spec, rng);
+    h.add_graph(g);
+    Rng mask_rng(seed * 0x9e3779b97f4a7c15ULL);
+    std::vector<bool> edge_mask(g.num_edges());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      edge_mask[e] = mask_rng.bernoulli(0.3);
+    }
+    h.add_graph(edge_subgraph(g, edge_mask).graph);
+    std::vector<bool> keep(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) keep[v] = mask_rng.bernoulli(0.7);
+    h.add_graph(induced_subgraph(g, keep).graph);
+    h.add_graph(LineGraph(g).graph());
+  }
+  return h.value();
+}
+
+TEST(GraphDigests, GeneratedGraphsAreBitIdentical) {
+  struct Pin {
+    const char* spec;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      // One small spec per generator family (genspec::spec_families()).
+      {"gnp:60:0.1", 0x65aa6c0ef3f1ba9fULL},
+      {"gnp:1:0.5", 0x56bcfcc5b0d03ee5ULL},
+      {"gnp:12:1", 0xa381f8a0828cc605ULL},
+      {"regular:40:4", 0x9c8aef0946a78267ULL},
+      {"regular:41:6", 0xf718c2a42777742cULL},
+      {"regular:10:7", 0xaf676b7bd30e1081ULL},  // reaches the greedy fallback
+      {"bounded:60:4", 0x829d78940e003764ULL},
+      {"bipartite:20:25:0.2", 0xb919b143d9c344f1ULL},
+      {"tree:50", 0x7fbb66844e58fe7aULL},
+      {"powerlaw:80:2.5:4", 0x7be95655b21e14aeULL},
+      {"path:7", 0x74794836d100a981ULL},
+      {"cycle:9", 0xf74ce4d771cad962ULL},
+      {"star:8", 0x358af9b8da835ae0ULL},
+      {"complete:7", 0xe3020bafa3633ab1ULL},
+      {"grid:5:6", 0x4328d510851290f6ULL},
+      {"hypercube:4", 0x3256fbbd5dbb48e8ULL},
+      {"cbipartite:3:5", 0x5dc414063d2c61aaULL},
+      {"btree:4", 0x0964e277b8062744ULL},
+      {"caterpillar:4:2", 0xe6644190cefccecbULL},
+      {"barbell:4:3", 0x8bec9a26e85d2d87ULL},
+      {"lollipop:5:3", 0xfe1c15b681b12ee4ULL},
+      // The table1-cold catalogue gens (perfbench/src/stream.cpp).
+      {"gnp:2000:0.0035", 0xe8af4004cd8be1a6ULL},
+      {"regular:150:6", 0x30a38fee232b8e48ULL},
+      {"gnp:1500:0.005", 0xd3696b4b6063e31fULL},
+      {"gnp:900:0.005", 0x19b8cf3ed308a07cULL},
+      {"gnp:100:0.03", 0x939f23c936c91267ULL},
+      {"gnp:600:0.008", 0x0824cfc6a6ee34a7ULL},
+      {"tree:200", 0x007794fbdfcf37ebULL},
+      {"gnp:2500:0.003", 0x2c85b5c55f150b9aULL},
+  };
+  std::set<std::string> families;
+  for (const Pin& pin : pins) {
+    families.insert(gen::parse_spec(pin.spec).family);
+    const std::uint64_t digest = spec_digest(pin.spec);
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, pin.digest) << pin.spec << " digests to " << hex;
+  }
+  EXPECT_EQ(families.size(), gen::spec_families().size());
+}
+
+TEST(GraphDigests, TightRegularSpecReachesGreedyFallback) {
+  // regular:10:7 almost never pairs simply within the retry budget; the
+  // fallback leaves some node short of degree 7 on at least one seed.
+  bool short_node = false;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Graph g = gen::random_regular(10, 7, rng);
+    EXPECT_LE(g.max_degree(), 7u);
+    for (NodeId v = 0; v < 10; ++v) short_node |= g.degree(v) < 7;
+  }
+  EXPECT_TRUE(short_node);
 }
 
 TEST(Families, HelpersProduceValidGraphs) {
