@@ -125,9 +125,10 @@ void weighted_quality() {
 
 void run_many_throughput() {
   bench::banner(
-      "E3d: multi-seed throughput through sim run_many",
-      "seeded runs are independent, so batching them over the run_many "
-      "scheduler scales with cores (engine-level, not a paper claim)");
+      "E3d: multi-seed throughput through sim::run_many_tasks",
+      "seeded runs are independent, so spreading them over the seed-"
+      "parallel scheduler scales with cores (engine-level, not a paper "
+      "claim)");
   const int kSeeds = 16;
   Rng rng(42);
   const Graph g = gen::random_regular(1024, 16, rng);

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "graph/generators.hpp"
@@ -106,7 +104,6 @@ BatchResult BatchServer::serve() {
 
   // A RunDetail describes one run; it has no meaning for a larger batch.
   DISTAPX_ENSURE(opts_.detail == nullptr || units.size() == 1);
-  const unsigned workers = sim::resolve_threads(opts_.threads, units.size());
   const auto start = std::chrono::steady_clock::now();
 
   // Metrics land in the caller's registry when one is wired (the serving
@@ -130,10 +127,7 @@ BatchResult BatchServer::serve() {
         metrics::default_latency_buckets_ms());
   }
 
-  std::atomic<std::size_t> next{0};
   std::atomic<std::uint64_t> cache_hits{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
   // Key-first: a job's workload is built by its first missed unit, once;
   // units of the same job wait for it, other jobs build concurrently.
   std::vector<std::once_flag> built(jobs_.size());
@@ -159,18 +153,14 @@ BatchResult BatchServer::serve() {
     runs_computed.inc();
     return row;
   };
-  auto drain = [&] {
-    NetworkLease lease;  // one reusable Network per worker
-    // Worker threads are fresh — the submitting thread's context does not
-    // propagate — so the job's collector is installed explicitly here.
-    const trace::ContextGuard trace_guard(
-        trace::Context{opts_.trace, opts_.trace_parent});
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= units.size()) return;
-      const Unit u = units[i];
-      const ResolvedJob& job = jobs_[u.job];
-      try {
+  const trace::Context trace_context{opts_.trace, opts_.trace_parent};
+  const unsigned workers = sim::for_each_index<NetworkLease>(
+      units.size(), opts_.threads, [&](NetworkLease& lease, std::size_t i) {
+        // Spawned workers start with no trace context of their own, so the
+        // job's collector is installed explicitly for every unit.
+        const trace::ContextGuard trace_guard(trace_context);
+        const Unit u = units[i];
+        const ResolvedJob& job = jobs_[u.job];
         const std::uint64_t seed = job.spec.seed_at(u.run);
         runs_total.inc();
         std::optional<Fingerprint> key;
@@ -186,7 +176,7 @@ BatchResult BatchServer::serve() {
             rows[u.job][u.run] = cached->row;
             hit_facts[u.job][u.run] = cached->facts;
             cache_hits.fetch_add(1, std::memory_order_relaxed);
-            continue;
+            return;
           }
           ensure_materialized(u.job);
         }
@@ -208,26 +198,7 @@ BatchResult BatchServer::serve() {
             // batch. The next lookup of this key simply misses again.
           }
         }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(units.size());  // cancel the remaining queue
-        return;
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(drain);
-    for (auto& th : pool) th.join();
-  }
-  if (error) std::rethrow_exception(error);
+      });
 
   BatchResult result;
   result.cache_hits = cache_hits.load(std::memory_order_relaxed);

@@ -1,11 +1,12 @@
 // Sharded multi-graph batch serving.
 //
-// PR 1's sim::run_many made one (graph, algorithm) pair fast across seeds;
-// this subsystem serves an arbitrary *mix* of jobs — different graphs,
-// different algorithms, different seed ranges — over one shared worker
-// pool. Every job is sharded into per-seed work units; workers pull units
-// from one global queue, so a long job's tail no longer idles the threads
-// that finished a short job (the win bench_batch_serving measures).
+// This subsystem serves an arbitrary *mix* of jobs — different graphs,
+// different algorithms, different seed ranges — over one shared set of
+// workers. Every job is sharded into per-seed work units that run on the
+// sim::for_each_index fork/join (sim/run_many.hpp), with the calling thread
+// as one of the workers; workers pull units from one global queue, so a
+// long job's tail does not idle the threads that finished a short job (the
+// win bench_batch_serving measures).
 //
 // Each worker owns one reusable sim::Network through a NetworkLease and
 // rebinds it only when the unit it picked up belongs to a different graph
@@ -127,6 +128,8 @@ struct BatchResult {
   /// Jobs whose workload (graph + weights) was built for this batch. With
   /// a cache attached, only jobs with at least one missed seed are built.
   std::uint64_t materialized = 0;
+  /// Workers that ran: resolve_threads(threads, units), or fewer when the
+  /// process could not spawn them all.
   unsigned threads_used = 0;
   double wall_seconds = 0;  ///< timing only; excluded from determinism
 };

@@ -85,7 +85,8 @@ struct SocketServerOptions {
   /// (min(hardware concurrency, 8)); an explicit value is honored as
   /// given (lanes beyond the core count still provide head-of-line
   /// isolation — a long sweep timeshares instead of serializing).
-  /// Total worker threads can momentarily reach lanes x threads.
+  /// A lane's own thread is one of its SUBMIT's `threads` workers, so
+  /// total worker threads can momentarily reach lanes x threads.
   unsigned lanes = 0;
   /// Result-cache directory; empty = serve without a cache.
   std::string cache_dir;

@@ -153,8 +153,9 @@ using ProgramFactory =
 /// the arrival port rebind() precomputed, and a stable counting sort by
 /// destination rebuilds the per-node inbox spans each round. Sweeps visit
 /// an ascending list of the non-halted nodes. A Network instance is
-/// therefore cheap to reuse for many seeded runs on the same graph (see
-/// run_many.hpp), with no per-round or per-run vector churn.
+/// therefore cheap to reuse for many seeded runs on the same graph (the
+/// batch server's workers each keep one for their whole lifetime), with no
+/// per-round or per-run vector churn.
 class Network {
  public:
   /// An unbound Network; rebind() before run(). Lets pooled workers (the

@@ -13,57 +13,4 @@ unsigned resolve_threads(unsigned requested, std::size_t jobs) {
   return workers;
 }
 
-std::vector<RunResult> run_many(const Graph& g, const ProgramFactory& factory,
-                                std::span<const std::uint64_t> seeds,
-                                const RunManyOptions& opts) {
-  std::vector<RunResult> results(seeds.size());
-  const unsigned workers = resolve_threads(opts.threads, seeds.size());
-
-  RunOptions base;
-  base.policy = opts.policy;
-  base.max_rounds = opts.max_rounds;
-
-  // Each worker owns one Network: transport buffers are allocated once and
-  // reused across all the runs that worker picks up.
-  auto drain = [&](Network& net, std::atomic<std::size_t>& next,
-                   std::exception_ptr& error, std::mutex& error_mu) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= seeds.size()) return;
-      RunOptions run_opts = base;
-      run_opts.seed = seeds[i];
-      try {
-        results[i] = net.run(factory, run_opts);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(seeds.size());  // cancel the remaining queue
-        return;
-      }
-    }
-  };
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  if (workers <= 1) {
-    Network net(g);
-    drain(net, next, error, error_mu);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        Network net(g);
-        drain(net, next, error, error_mu);
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
-  if (error) std::rethrow_exception(error);
-  return results;
-}
-
 }  // namespace distapx::sim

@@ -1,17 +1,19 @@
-// Batched multi-seed execution of simulator runs.
+// The seed-parallel fork/join every multi-seed path runs on.
 //
-// The property sweeps and Table-1 benches all share one shape: the same
-// algorithm on the same topology across many seeds, with every run fully
-// independent. run_many() schedules those runs over a worker pool where
-// each worker owns one reusable Network (flat transport buffers are
-// allocated once per worker, not once per run), and run_many_tasks()
-// generalizes the scheduler to arbitrary per-seed pipelines (e.g. the
-// multi-phase weighted-matching benches that chain several Network runs
-// per seed).
+// The property sweeps, the Table-1 benches and the batch server all share
+// one shape: many fully independent units of work (one per seed, or per
+// (job, seed)), each writing its own result slot. for_each_index() is the
+// one scheduler for that shape: an atomic cursor, a first-error slot and a
+// fork/join in which the calling thread is worker 0. Each worker owns one
+// default-constructed State for its lifetime — the batch server's
+// NetworkLease, so a worker's flat transport buffers are allocated once,
+// not once per run. run_many_tasks() is the stateless convenience form
+// that collects one result per seed.
 //
-// Determinism: results[i] depends only on (graph, factory, seeds[i],
-// options) — never on the thread count or on scheduling order — so a batch
-// is bit-identical at 1 thread and at N threads, and across invocations.
+// Determinism: a unit's result depends only on its index (and whatever the
+// body reads for it) — never on the thread count or on scheduling order —
+// so a batch is bit-identical at 1 thread and at N threads, and across
+// invocations.
 #pragma once
 
 #include <atomic>
@@ -23,32 +25,59 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/network.hpp"
-
 namespace distapx::sim {
-
-struct RunManyOptions {
-  BandwidthPolicy policy = BandwidthPolicy::congest();
-  std::uint32_t max_rounds = 1u << 20;
-  /// Worker threads; 0 = hardware concurrency.
-  unsigned threads = 0;
-};
 
 /// Number of workers actually used for `jobs` jobs: `requested` (or the
 /// hardware concurrency when 0), clamped to [1, jobs].
 unsigned resolve_threads(unsigned requested, std::size_t jobs);
 
-/// One run of `factory` on `g` per seed, scheduled across worker threads.
-/// Results are indexed like `seeds`. The factory is invoked concurrently
-/// and must be thread-safe (the make_*_program factories are: they only
-/// read captured inputs). Throws the first per-run exception (e.g. a
-/// CONGEST violation under an enforcing policy) after the pool drains.
-std::vector<RunResult> run_many(const Graph& g, const ProgramFactory& factory,
-                                std::span<const std::uint64_t> seeds,
-                                const RunManyOptions& opts = {});
+/// Calls body(state, i) once for every i in [0, count), spread over
+/// resolve_threads(threads, count) workers that pull indices from one
+/// shared cursor. The calling thread is worker 0 and spawns the others;
+/// each worker default-constructs its State on its own stack and passes it
+/// to every index it runs. A spawn that fails (e.g. the process thread
+/// limit) stops spawning: the workers already running finish every index,
+/// so results are the same with fewer workers. The first exception a body
+/// throws cancels the remaining indices and is rethrown after every
+/// started thread has joined. Returns the number of workers that ran.
+template <typename State, typename Body>
+unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto drain = [&] {
+    try {
+      State state{};
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        body(state, i);
+      }
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+      next.store(count, std::memory_order_relaxed);  // cancel the rest
+    }
+  };
+  const unsigned workers = resolve_threads(threads, count);
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  try {
+    for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
+  } catch (...) {
+    // Out of threads: the caller and the workers already started drain
+    // the whole cursor between them.
+  }
+  drain();
+  for (std::thread& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
+  return static_cast<unsigned>(pool.size()) + 1;
+}
 
-/// Generic deterministic seed-parallel scheduler: results[i] =
-/// task(seeds[i], i). `task` must be safe to call concurrently.
+/// Deterministic seed-parallel map: results[i] = task(seeds[i], i). `task`
+/// must be safe to call concurrently.
 template <typename Task>
 auto run_many_tasks(std::span<const std::uint64_t> seeds, unsigned threads,
                     Task&& task)
@@ -58,38 +87,12 @@ auto run_many_tasks(std::span<const std::uint64_t> seeds, unsigned threads,
   // would race. Return char/int instead.
   static_assert(!std::is_same_v<Result, bool>,
                 "run_many_tasks cannot return bool (vector<bool> races)");
+  struct NoState {};
   std::vector<Result> results(seeds.size());
-  const unsigned workers = resolve_threads(threads, seeds.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      results[i] = task(seeds[i], i);
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= seeds.size()) return;
-      try {
-        results[i] = task(seeds[i], i);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(seeds.size());  // cancel the remaining queue
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(drain);
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  for_each_index<NoState>(seeds.size(), threads,
+                          [&](NoState&, std::size_t i) {
+                            results[i] = task(seeds[i], i);
+                          });
   return results;
 }
 

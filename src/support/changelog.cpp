@@ -248,7 +248,16 @@ bool Changelog::append_frames_locked(const std::string& frames,
   return true;
 }
 
+bool Changelog::refuse() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++write_failures_;
+  return false;
+}
+
 bool Changelog::append(std::string_view payload) {
+  // Replay cuts a longer frame as a torn tail, taking every later record
+  // with it, so such a record is never written.
+  if (payload.size() > kMaxRecordBytes) return refuse();
   std::string frames;
   frames.reserve(kFrameBytes + payload.size());
   encode_frame(frames, payload);
@@ -258,6 +267,9 @@ bool Changelog::append(std::string_view payload) {
 
 bool Changelog::append_batch(const std::vector<std::string>& payloads) {
   if (payloads.empty()) return true;
+  for (const std::string& p : payloads) {
+    if (p.size() > kMaxRecordBytes) return refuse();
+  }
   // One write + one fdatasync for the whole batch: the per-record
   // durability cost amortizes, and O_APPEND keeps the batch contiguous
   // even with appenders in other processes.

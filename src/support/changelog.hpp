@@ -36,7 +36,8 @@
 // are buffered-write only. Appends never throw: a failed append returns
 // false and is counted, because every current consumer treats the log as
 // recovery metadata whose loss degrades to recompute, never to wrong
-// results.
+// results. A record longer than kMaxRecordBytes, which replay would cut as
+// a torn tail, is refused the same way before anything is written.
 //
 // Thread safety: append/append_batch/snapshot/counters may be called from
 // any thread (one internal mutex); replayed() is immutable post-open.
@@ -74,8 +75,9 @@ struct ChangelogState {
 class Changelog {
  public:
   /// Hard ceiling on one record's payload; a length field above it is
-  /// treated as tail corruption. Generous enough for a max-size socket
-  /// job frame.
+  /// treated as tail corruption, so append/append_batch refuse a larger
+  /// payload (a batch fails as a whole). Generous enough for a
+  /// default-size socket job frame.
   static constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
   /// Opens (creating if absent) the changelog at `base_path` ("...": the
@@ -102,8 +104,8 @@ class Changelog {
 
   /// Appends one record (or a batch as a single write + single sync) to
   /// the tail; at fsutil::Durability::kFull the data is fdatasync'd
-  /// before returning. False on write/sync failure (counted, never
-  /// thrown).
+  /// before returning. False on write/sync failure or an oversized
+  /// payload (counted, never thrown); a refused batch writes nothing.
   bool append(std::string_view payload);
   bool append_batch(const std::vector<std::string>& payloads);
 
@@ -135,6 +137,8 @@ class Changelog {
   static void set_write_failure_for_testing(bool fail) noexcept;
 
  private:
+  /// Counts a write refused before touching the disk; returns false.
+  bool refuse();
   bool append_frames_locked(const std::string& frames, std::uint64_t records,
                             std::uint64_t payload_size);
 

@@ -2,11 +2,12 @@
 //
 // The contract under test: RunRow i of job j depends only on (spec_j,
 // seed) — never on the pool's thread count, on scheduling order, or on
-// what other jobs share the pool — and equals what sequential per-job
-// sim::run_many execution produces.
+// what other jobs share the pool — and equals what a sequential loop of
+// plain sim::Network runs produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string_view>
@@ -19,7 +20,7 @@
 #include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
 #include "service/result_cache.hpp"
-#include "sim/run_many.hpp"
+#include "sim/network.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -270,9 +271,48 @@ TEST(BatchServer, PoolSharingDoesNotPerturbJobs) {
   }
 }
 
-TEST(BatchServer, MatchesSequentialRunMany) {
-  // For a single-program job the batch rows must equal a plain
-  // sim::run_many pass over the same graph, factory and seeds.
+TEST(BatchServer, SpawnFailureServesOnFewerWorkers) {
+  // A SUBMIT that cannot get all its worker threads must still serve
+  // every unit, with the same rows, instead of aborting the server.
+  if (!test::OneFreeThreadSlot::possible()) {
+    GTEST_SKIP() << "cannot lower the thread limit in a child process";
+  }
+  const char* two_jobs = R"(
+gen=gnp:60:0.08   algo=luby        seeds=1:4 name=a
+gen=regular:40:4  algo=maxis-alg2  seeds=5:4 maxw=64 name=b
+)";
+  const auto serve_at = [&](unsigned threads) {
+    std::istringstream is(two_jobs);
+    service::BatchServer server({threads});
+    server.submit_all(service::parse_job_file(is));
+    return server.serve();
+  };
+  const auto serial = serve_at(1);
+  ASSERT_EQ(serial.total_runs, 8u);
+  ASSERT_EQ(serial.threads_used, 1u);
+  EXPECT_EXIT(
+      {
+        bool ok = false;
+        {
+          const test::OneFreeThreadSlot one_slot;
+          const auto squeezed = serve_at(4);
+          // threads_used is not pinned: other processes of this uid may
+          // free or take thread slots while the batch spawns.
+          ok = squeezed.jobs.size() == serial.jobs.size();
+          for (std::size_t j = 0; ok && j < serial.jobs.size(); ++j) {
+            ok = squeezed.jobs[j].rows == serial.jobs[j].rows;
+          }
+        }
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  // Unsqueezed, every requested worker runs.
+  EXPECT_EQ(serve_at(4).threads_used, 4u);
+}
+
+TEST(BatchServer, MatchesSequentialNetworkRuns) {
+  // For a single-program job the batch rows must equal a plain sequential
+  // loop of Network runs over the same graph, factory and seeds.
   const auto jobs = mixed_jobs();
   const auto& luby_spec = jobs[0];
   ASSERT_EQ(luby_spec.algorithm, "luby");
@@ -287,13 +327,15 @@ TEST(BatchServer, MatchesSequentialRunMany) {
   for (std::uint32_t i = 0; i < luby_spec.num_seeds; ++i) {
     seeds.push_back(luby_spec.seed_at(i));
   }
-  sim::RunManyOptions opts;
-  opts.policy = luby_spec.policy;
-  opts.max_rounds = luby_spec.max_rounds;
-  opts.threads = 1;
-  const auto runs = sim::run_many(reference.graph,
-                                  make_luby_program(reference.graph), seeds,
-                                  opts);
+  const auto factory = make_luby_program(reference.graph);
+  std::vector<sim::RunResult> runs;
+  for (const std::uint64_t seed : seeds) {
+    sim::RunOptions opts;
+    opts.policy = luby_spec.policy;
+    opts.max_rounds = luby_spec.max_rounds;
+    opts.seed = seed;
+    runs.push_back(sim::Network(reference.graph).run(factory, opts));
+  }
   ASSERT_EQ(runs.size(), batch_job.rows.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& row = batch_job.rows[i];

@@ -267,6 +267,28 @@ TEST(Changelog, WriteFailureSeamCountsAndDegrades) {
             (std::vector<std::string>{"before", "after"}));
 }
 
+TEST(Changelog, AppendRejectsRecordReplayWouldCut) {
+  // Replay treats a length above kMaxRecordBytes as a torn tail, so an
+  // append of such a record must fail up front — otherwise it and every
+  // record after it vanish at the next open.
+  const ScopedTempDir dir("distapx-wal-oversized");
+  const std::string base = base_in(dir);
+  {
+    Changelog log(base);
+    const std::string huge(std::size_t{Changelog::kMaxRecordBytes} + 1, 'x');
+    EXPECT_TRUE(log.append("S 1 small"));
+    EXPECT_FALSE(log.append(huge));
+    EXPECT_FALSE(log.append_batch({"S 2 dropped", huge}));
+    EXPECT_TRUE(log.append("R 1"));
+    EXPECT_EQ(log.write_failures(), 2u);
+    EXPECT_EQ(log.tail_records(), 2u);
+  }
+  Changelog reopened(base);
+  EXPECT_EQ(reopened.replayed().tail,
+            (std::vector<std::string>{"S 1 small", "R 1"}));
+  EXPECT_EQ(reopened.replayed().torn_bytes, 0u);
+}
+
 TEST(Changelog, ConcurrentAppendersLoseNothing) {
   const ScopedTempDir dir("distapx-wal-mt");
   const std::string base = base_in(dir);

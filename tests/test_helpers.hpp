@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -39,6 +41,30 @@ struct ScopedTempDir {
     static int c = 0;
     return c;
   }
+};
+
+/// Leaves this process exactly one free thread slot: drops root (whose
+/// threads RLIMIT_NPROC does not count), lowers RLIMIT_NPROC and parks
+/// threads until std::thread's constructor throws, then releases one of
+/// them. Destruction releases and joins the rest. Only for the child of a
+/// death test: the limit and the uid change are permanent. Exits the
+/// process with code 2 if the squeeze cannot be set up.
+class OneFreeThreadSlot {
+ public:
+  /// Whether a process here can be made to run out of threads at all
+  /// (probed in a forked child, so the caller's process is untouched).
+  static bool possible();
+
+  OneFreeThreadSlot();
+  ~OneFreeThreadSlot();
+  OneFreeThreadSlot(const OneFreeThreadSlot&) = delete;
+  OneFreeThreadSlot& operator=(const OneFreeThreadSlot&) = delete;
+
+ private:
+  void release_last();
+
+  std::vector<std::promise<void>> release_;
+  std::vector<std::thread> parked_;
 };
 
 /// A named small graph family instance for parameterized suites.

@@ -23,6 +23,7 @@
 #include "maxis/layered_maxis.hpp"
 #include "maxis/local_ratio_seq.hpp"
 #include "mis/mis.hpp"
+#include "sim/network.hpp"
 #include "sim/run_many.hpp"
 #include "test_helpers.hpp"
 
@@ -93,18 +94,21 @@ TEST_P(MaxIsSweep, BothDistributedAlgorithmsValidAndBoundedVsSeq) {
   const Graph g = make_family(family, rng);
   const auto w = make_weights(regime, g.num_nodes(), rng);
 
-  // Algorithm 2 runs as a 3-seed batch through the run_many scheduler;
-  // every seed's output must satisfy the paper's guarantees, and the batch
-  // must be bit-identical to a serial execution of the same seed set.
+  // Algorithm 2 runs as a 3-seed batch through the run_many_tasks
+  // scheduler; every seed's output must satisfy the paper's guarantees, and
+  // the batch must be bit-identical to a serial execution of the same seed
+  // set.
   const Weight max_w = *std::max_element(w.begin(), w.end());
   const auto factory = make_layered_maxis_program(g, w, max_w);
   const std::uint64_t seeds[] = {5, 6, 7};
-  sim::RunManyOptions rm;
-  rm.policy = sim::BandwidthPolicy::congest(32);
-  rm.threads = 2;
-  const auto runs = sim::run_many(g, factory, seeds, rm);
-  rm.threads = 1;
-  const auto serial = sim::run_many(g, factory, seeds, rm);
+  const auto run_seed = [&](std::uint64_t seed, std::size_t) {
+    sim::RunOptions opts;
+    opts.policy = sim::BandwidthPolicy::congest(32);
+    opts.seed = seed;
+    return sim::Network(g).run(factory, opts);
+  };
+  const auto runs = sim::run_many_tasks(seeds, 2, run_seed);
+  const auto serial = sim::run_many_tasks(seeds, 1, run_seed);
   std::vector<std::vector<NodeId>> batch_sets;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     ASSERT_TRUE(runs[i].metrics.completed) << family_name(family);
