@@ -64,26 +64,6 @@ SubmitOutcome Client::recv_submit() {
   return outcome;
 }
 
-SubmitOutcome Client::submit_traced(std::string_view job_file_text) {
-  send(FrameType::kSubmitTrace, job_file_text);
-  const Frame reply = receive();
-  SubmitOutcome outcome;
-  if (reply.type == FrameType::kError) {
-    outcome.error = reply.payload;
-    return outcome;
-  }
-  if (reply.type != FrameType::kResultTrace) {
-    throw NetError("expected RESULTTRACE or ERR, got frame type " +
-                   std::to_string(static_cast<int>(reply.type)));
-  }
-  if (!decode_result_trace(reply.payload, outcome.result,
-                           outcome.trace_txt)) {
-    throw NetError("malformed RESULTTRACE payload from server");
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
 void Client::ping() {
   send(FrameType::kPing, {});
   const Frame reply = receive();

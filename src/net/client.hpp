@@ -3,8 +3,8 @@
 // One Client is one connection: connect() dials the endpoint and performs
 // the HELLO exchange, then submit()/ping()/stats()/shutdown() each write
 // one request frame and block until the matching response frame arrives.
-// The connection is reusable across requests (the CLI's loadgen driver
-// submits repeatedly over one connection per worker).
+// The connection is reusable across requests (perfbench's closed-loop
+// clients submit repeatedly over one connection each).
 //
 // Pipelining: send_submit()/recv_submit() split the round trip, so a
 // client may keep several SUBMITs in flight on one connection; the
@@ -34,9 +34,8 @@ namespace distapx::net {
 
 struct SubmitOutcome {
   bool ok = false;
-  ResultPayload result;   ///< filled when ok
-  std::string error;      ///< the server's ERR text when !ok
-  std::string trace_txt;  ///< rendered span tree (submit_traced only)
+  ResultPayload result;  ///< filled when ok
+  std::string error;     ///< the server's ERR text when !ok
 };
 
 class Client {
@@ -56,11 +55,6 @@ class Client {
   /// Submits one job file (its raw bytes). RESULT and ERR are the two
   /// expected replies; anything else throws NetError.
   SubmitOutcome submit(std::string_view job_file_text);
-
-  /// submit(), but over SUBMITTRACE: the server echoes the job's span
-  /// tree in SubmitOutcome::trace_txt alongside the (byte-identical)
-  /// result sections. RESULTTRACE and ERR are the expected replies.
-  SubmitOutcome submit_traced(std::string_view job_file_text);
 
   /// Pipelining half 1: writes one SUBMIT frame without waiting.
   void send_submit(std::string_view job_file_text);

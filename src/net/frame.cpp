@@ -23,7 +23,7 @@ std::uint32_t get_u32_le(const char* bytes) noexcept {
 
 bool is_known_frame_type(std::uint8_t type) noexcept {
   return type >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint8_t>(FrameType::kResultTrace);
+         type <= static_cast<std::uint8_t>(FrameType::kShutdown);
 }
 
 std::string encode_frame(FrameType type, std::string_view payload) {

@@ -43,8 +43,8 @@ enum class FrameType : std::uint8_t {
   kStatsReq = 7,  ///< client -> server: counter snapshot request
   kStats = 8,     ///< server -> client: key-value counter lines
   kShutdown = 9,  ///< client -> server: drain and stop; echoed as the ack
-  kSubmitTrace = 10,  ///< client -> server: SUBMIT that wants its trace back
-  kResultTrace = 11,  ///< server -> client: RESULT + rendered trace tree
+  // 10 and 11 (the removed trace echo) are retired, never to be reused:
+  // an older peer may still send them and must get kBadType.
 };
 
 bool is_known_frame_type(std::uint8_t type) noexcept;

@@ -93,8 +93,8 @@ std::string render_statusz(const metrics::Snapshot& snap,
 }
 
 /// The /vars page: every metric as one "name value" line — counters and
-/// gauges verbatim, histograms expanded into count/sum and quantiles,
-/// both cumulative and over the recent sampling windows.
+/// gauges verbatim, histograms expanded into cumulative count/sum and
+/// quantiles.
 std::string render_vars(const metrics::Snapshot& snap) {
   std::string out;
   for (const auto& c : snap.counters) {
@@ -112,13 +112,6 @@ std::string render_vars(const metrics::Snapshot& snap) {
     out += h.name + "_p50 " + format_double(h.hist.quantile(0.50)) + '\n';
     out += h.name + "_p95 " + format_double(h.hist.quantile(0.95)) + '\n';
     out += h.name + "_p99 " + format_double(h.hist.quantile(0.99)) + '\n';
-    out += h.name + "_recent_count " + std::to_string(h.recent.count) + '\n';
-    out +=
-        h.name + "_recent_p50 " + format_double(h.recent.quantile(0.50)) + '\n';
-    out +=
-        h.name + "_recent_p95 " + format_double(h.recent.quantile(0.95)) + '\n';
-    out +=
-        h.name + "_recent_p99 " + format_double(h.recent.quantile(0.99)) + '\n';
   }
   return out;
 }

@@ -17,8 +17,8 @@
 //                slowest-K per endpoint) as indented text trees; a plain
 //                note when no sink is attached.
 //   /vars     -> 200, raw "name value" lines of every metric — counters,
-//                gauges, float gauges, and histogram count/sum plus
-//                cumulative and recent-window p50/p95/p99 — for scripts
+//                gauges, float gauges, and histogram count/sum/p50/
+//                p95/p99 (cumulative) — for scripts
 //                that don't want to parse Prometheus framing.
 //
 // The server runs one dedicated thread with its own poll(2) loop (the

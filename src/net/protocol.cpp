@@ -75,30 +75,4 @@ bool decode_result(std::string_view payload, ResultPayload& out) {
   return in.empty();
 }
 
-std::string encode_result_trace(const ResultPayload& r,
-                                std::string_view trace_txt) {
-  if (result_trace_wire_size(r, trace_txt) > kMaxWirePayload) {
-    throw NetError("RESULTTRACE payload exceeds the u32 wire length field");
-  }
-  std::string out = encode_result(r);
-  put_u32_le(out, static_cast<std::uint32_t>(trace_txt.size()));
-  out.append(trace_txt);
-  return out;
-}
-
-std::uint64_t result_trace_wire_size(const ResultPayload& r,
-                                     std::string_view trace_txt) noexcept {
-  return result_wire_size(r) + 4 + trace_txt.size();
-}
-
-bool decode_result_trace(std::string_view payload, ResultPayload& out,
-                         std::string& trace_txt) {
-  std::string_view in = payload;
-  if (!take_section(in, out.summary_csv)) return false;
-  if (!take_section(in, out.runs_csv)) return false;
-  if (!take_section(in, out.report_txt)) return false;
-  if (!take_section(in, trace_txt)) return false;
-  return in.empty();
-}
-
 }  // namespace distapx::net

@@ -13,14 +13,6 @@
 //   ERR       UTF-8 diagnostic text (line-numbered JobError for a bad job
 //             file, a frame_status_name-classified message for protocol
 //             violations).
-//   SUBMITTRACE  same payload as SUBMIT; the client asks the server to
-//             echo the job's span trace. Answered with RESULTTRACE (or
-//             ERR). Plain SUBMIT/RESULT stay byte-identical — the trace
-//             echo is a distinct frame type precisely so the determinism
-//             contract on RESULT payloads is untouched.
-//   RESULTTRACE  four length-prefixed sections: the three RESULT sections
-//             (bit-identical to what RESULT would have carried) plus the
-//             rendered trace tree text.
 //   PING/PONG, STATSREQ and SHUTDOWN carry empty payloads; STATS carries
 //   "key value\n" counter lines.
 #pragma once
@@ -61,15 +53,5 @@ bool decode_result(std::string_view payload, ResultPayload& out);
 
 /// Encoded payload size of a RESULT (3 u32 section lengths + bytes).
 std::uint64_t result_wire_size(const ResultPayload& r) noexcept;
-
-/// RESULTTRACE: the three RESULT sections plus the rendered trace tree,
-/// each u32-length-prefixed. Throws NetError above kMaxWirePayload.
-std::string encode_result_trace(const ResultPayload& r,
-                                std::string_view trace_txt);
-/// Strict: exactly four sections, no trailing bytes.
-bool decode_result_trace(std::string_view payload, ResultPayload& out,
-                         std::string& trace_txt);
-std::uint64_t result_trace_wire_size(const ResultPayload& r,
-                                     std::string_view trace_txt) noexcept;
 
 }  // namespace distapx::net

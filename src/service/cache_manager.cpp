@@ -538,32 +538,4 @@ void CacheManager::rescan() {
   checkpoint_locked();
 }
 
-PrewarmReport CacheManager::prewarm() const {
-  // Snapshot the key list under the lock, read files outside it: a
-  // prewarm must not stall concurrent record_put/record_get for the
-  // duration of the disk reads.
-  std::vector<std::pair<std::string, std::uint64_t>> keys;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    keys.reserve(entries_.size());
-    for (const auto& [hex, e] : lru_sorted_locked()) {
-      keys.emplace_back(hex, e.size);
-    }
-  }
-  PrewarmReport report;
-  for (const auto& [hex, size] : keys) {
-    const auto key = Fingerprint::from_hex(hex);
-    if (!key) continue;
-    ++report.checked;
-    if (check_entry_file(cache_entry_path(dir_, hex), *key, nullptr) ==
-        EntryStatus::kOk) {
-      ++report.ok;
-      report.bytes += size;
-    } else {
-      ++report.invalid;
-    }
-  }
-  return report;
-}
-
 }  // namespace distapx::service

@@ -117,14 +117,6 @@ struct VerifyReport {
   std::vector<VerifyFinding> findings;  ///< the invalid entries
 };
 
-/// Outcome of one prewarm() pass (journal-driven page-cache warmup).
-struct PrewarmReport {
-  std::uint64_t checked = 0;  ///< journal-known entries visited
-  std::uint64_t ok = 0;       ///< validated (and now page-cache-resident)
-  std::uint64_t invalid = 0;  ///< failed validation or already gone
-  std::uint64_t bytes = 0;    ///< bytes of validated entries
-};
-
 class CacheManager {
  public:
   /// Opens `dir`: replays the manifest changelog when it carries state
@@ -213,12 +205,6 @@ class CacheManager {
   /// (one `F` record per live entry in LRU order, empty tail). The next
   /// open replays this state in O(entries) without a directory walk.
   void checkpoint();
-
-  /// Journal-driven prewarm: validates every journal-known entry with the
-  /// lookup machinery, faulting the entry files into the page cache so a
-  /// following sweep's hits never stall on cold reads. Never modifies the
-  /// directory (invalid entries are verify's job).
-  PrewarmReport prewarm() const;
 
  private:
   struct Entry {

@@ -37,57 +37,21 @@ struct PendingJob {
   std::string payload;          ///< raw job-file bytes
   Clock::time_point enqueued;   ///< arrival, for the job_latency_ms series
   /// Span collector for this SUBMIT (trace id = submit_no); null when
-  /// tracing is off and no echo was requested. Shared with the lane and
-  /// the flush watcher that closes the respond span.
+  /// tracing is off. Shared with the lane and the flush watcher that
+  /// closes the respond span.
   std::shared_ptr<trace::Collector> tracer;
   std::uint32_t queue_span = 0;  ///< open queue-wait span, ended by the lane
-  bool want_trace = false;       ///< SUBMITTRACE: echo the tree in the reply
 };
 
 /// What a lane hands back to the I/O thread.
 struct Completion {
   std::uint64_t conn_id = 0;
   std::uint64_t conn_seq = 0;
-  std::uint64_t submit_no = 0;  ///< for the journal's R record
   bool ok = false;
   net::ResultPayload result;  ///< when ok
   std::string error;          ///< when !ok
   std::shared_ptr<trace::Collector> tracer;  ///< carried through from the job
-  bool want_trace = false;
 };
-
-/// Journal record codecs. The S payload carries the raw job-file bytes
-/// (arbitrary content, newlines included), so this is a positional split
-/// on the first two spaces, not the whitespace-tokenized manifest syntax.
-std::string encode_submit_record(std::uint64_t submit_no,
-                                 std::string_view payload) {
-  std::string rec = "S " + std::to_string(submit_no) + " ";
-  rec.append(payload);
-  return rec;
-}
-
-/// Parses "S <no> <payload>" / "R <no>"; false for anything else.
-bool parse_journal_record(const std::string& rec, char& tag,
-                          std::uint64_t& submit_no, std::string& payload) {
-  if (rec.size() < 2 || (rec[0] != 'S' && rec[0] != 'R') || rec[1] != ' ') {
-    return false;
-  }
-  tag = rec[0];
-  std::size_t pos = 2;
-  std::uint64_t no = 0;
-  bool digits = false;
-  while (pos < rec.size() && rec[pos] >= '0' && rec[pos] <= '9') {
-    no = no * 10 + static_cast<std::uint64_t>(rec[pos] - '0');
-    ++pos;
-    digits = true;
-  }
-  if (!digits) return false;
-  submit_no = no;
-  if (tag == 'R') return pos == rec.size();
-  if (pos >= rec.size() || rec[pos] != ' ') return false;
-  payload = rec.substr(pos + 1);
-  return true;
-}
 
 /// One client connection's state machine.
 struct Conn {
@@ -228,60 +192,6 @@ SocketServer::SocketServer(SocketServerOptions opts)
   } else if (opts_.cache_budget != 0) {
     throw JobError("cache_budget needs a cache_dir");
   }
-  if (!opts_.journal_path.empty()) {
-    try {
-      journal_.emplace(opts_.journal_path);
-    } catch (const ChangelogError& e) {
-      throw JobError("cannot open submit journal " + opts_.journal_path +
-                     ": " + e.what());
-    }
-    // Recover: S-without-R records are jobs a crashed predecessor
-    // accepted but never finished. Their connections are gone — clients
-    // will retry — so the point of re-executing them is the *cache*: the
-    // retries land on warm entries instead of recomputing every row.
-    // Without a cache there is nothing a recovery could usefully write,
-    // so the records are just dropped.
-    std::map<std::uint64_t, std::string> unfinished;
-    const auto apply = [&unfinished](const std::string& rec) {
-      char tag = 0;
-      std::uint64_t no = 0;
-      std::string payload;
-      if (!parse_journal_record(rec, tag, no, payload)) return;
-      if (tag == 'S') {
-        unfinished.emplace(no, std::move(payload));
-      } else {
-        unfinished.erase(no);
-      }
-    };
-    for (const std::string& r : journal_->replayed().snapshot) apply(r);
-    for (const std::string& r : journal_->replayed().tail) apply(r);
-    if (!unfinished.empty() && cache_) {
-      metrics::Counter& recovered =
-          reg_->counter("socket_recovered_jobs_total");
-      for (const auto& [no, payload] : unfinished) {
-        try {
-          std::istringstream is(payload);
-          BatchOptions batch_opts;
-          batch_opts.threads = opts_.threads;
-          batch_opts.cache = &*cache_;
-          batch_opts.registry = reg_;
-          BatchServer server(batch_opts);
-          server.submit_all(parse_job_file(is));
-          server.serve();
-          recovered.inc();
-          logx::info("socket_job_recovered", {{"submit_no", no}});
-        } catch (const std::exception& e) {
-          // A job that was malformed before the crash is malformed now;
-          // its client got no answer and will learn so on retry.
-          logx::warn("socket_job_recovery_failed",
-                     {{"submit_no", no}, {"err", e.what()}});
-        }
-      }
-    }
-    // Start clean: recovery consumed every pending claim, and history
-    // must not replay twice.
-    journal_->snapshot({});
-  }
   listener_ = net::Listener::open(opts_.endpoint);
   ep_ = listener_->endpoint();
 }
@@ -289,9 +199,6 @@ SocketServer::SocketServer(SocketServerOptions opts)
 SocketServerStats SocketServer::run() {
   const unsigned lane_count = effective_lanes(opts_.lanes);
   Meters counters(*reg_);
-  counters.lanes.set(lane_count);
-  logx::info("server_listening", {{"endpoint", ep_.to_string()},
-                                  {"lanes", lane_count}});
 
   std::map<std::uint64_t, Conn> conns;
   std::uint64_t next_conn_id = 1;
@@ -319,7 +226,6 @@ SocketServerStats SocketServer::run() {
     Completion done;
     done.conn_id = job.conn_id;
     done.conn_seq = job.conn_seq;
-    done.submit_no = job.submit_no;
     try {
       std::istringstream is(job.payload);
       BatchOptions batch_opts;
@@ -361,94 +267,104 @@ SocketServerStats SocketServer::run() {
       done.error = e.what();
     }
     done.tracer = std::move(job.tracer);
-    done.want_trace = job.want_trace;
     return done;
   };
 
-  std::vector<std::thread> lanes;
-  lanes.reserve(lane_count);
-  for (unsigned lane = 0; lane < lane_count; ++lane) {
-    lanes.emplace_back([&] {
-      for (;;) {
-        PendingJob job;
-        {
-          std::unique_lock lock(mu);
-          cv.wait(lock, [&] { return !rr_ring.empty() || lanes_exit; });
-          if (rr_ring.empty()) return;  // lanes_exit and nothing left
-          const std::uint64_t id = rr_ring.front();
-          rr_ring.pop_front();
-          const auto it = pending.find(id);
-          job = std::move(it->second.front());
-          it->second.pop_front();
-          --queued;
-          counters.queue_depth.set(static_cast<std::int64_t>(queued));
-          if (it->second.empty()) {
-            pending.erase(it);
-          } else {
-            rr_ring.push_back(id);  // round-robin: back of the ring
-          }
-          ++executing;
-          counters.executing.set(static_cast<std::int64_t>(executing));
+  const auto lane_loop = [&] {
+    for (;;) {
+      PendingJob job;
+      {
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return !rr_ring.empty() || lanes_exit; });
+        if (rr_ring.empty()) return;  // lanes_exit and nothing left
+        const std::uint64_t id = rr_ring.front();
+        rr_ring.pop_front();
+        const auto it = pending.find(id);
+        job = std::move(it->second.front());
+        it->second.pop_front();
+        --queued;
+        counters.queue_depth.set(static_cast<std::int64_t>(queued));
+        if (it->second.empty()) {
+          pending.erase(it);
+        } else {
+          rr_ring.push_back(id);  // round-robin: back of the ring
         }
-        trace::Collector* const tr = job.tracer.get();
-        std::uint32_t exec_span = 0;
-        if (tr != nullptr) {
-          tr->end(job.queue_span);
-          exec_span = tr->begin("lane-execute");
-        }
-        const auto exec_start = Clock::now();
-        Completion done = execute(job, exec_span);
-        const auto exec_end = Clock::now();
-        if (tr != nullptr) {
-          if (!done.ok) tr->annotate(exec_span, "outcome", "error");
-          tr->end(exec_span);
-        }
-        counters.lane_busy_us.inc(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                exec_end - exec_start)
-                .count()));
-        // Arrival-to-done, queue wait included: the latency a pipelining
-        // client actually experiences per submit.
-        counters.job_latency_ms.observe(
-            std::chrono::duration<double, std::milli>(exec_end - job.enqueued)
-                .count());
-        // Counted at completion, delivered or not — matching the
-        // pre-lane semantics where a reaped client's finished job still
-        // counted. The drop itself shows up in jobs_dropped.
-        (done.ok ? counters.results_ok : counters.results_error).inc();
-        // Retire the claim (ERR counts too: re-running a malformed job
-        // recovers nothing). The changelog's own mutex serializes this
-        // against the I/O thread's S appends.
-        if (journal_) {
-          journal_->append("R " + std::to_string(done.submit_no));
-        }
-        {
-          std::lock_guard lock(mu);
-          --executing;
-          counters.executing.set(static_cast<std::int64_t>(executing));
-          completions.push_back(std::move(done));
-        }
-        pipe_.poke();
+        ++executing;
+        counters.executing.set(static_cast<std::int64_t>(executing));
       }
-    });
-  }
+      trace::Collector* const tr = job.tracer.get();
+      std::uint32_t exec_span = 0;
+      if (tr != nullptr) {
+        tr->end(job.queue_span);
+        exec_span = tr->begin("lane-execute");
+      }
+      const auto exec_start = Clock::now();
+      Completion done = execute(job, exec_span);
+      const auto exec_end = Clock::now();
+      if (tr != nullptr) {
+        if (!done.ok) tr->annotate(exec_span, "outcome", "error");
+        tr->end(exec_span);
+      }
+      counters.lane_busy_us.inc(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              exec_end - exec_start)
+              .count()));
+      // Arrival-to-done, queue wait included: the latency a pipelining
+      // client actually experiences per submit.
+      counters.job_latency_ms.observe(
+          std::chrono::duration<double, std::milli>(exec_end - job.enqueued)
+              .count());
+      // Counted at completion, delivered or not — matching the
+      // pre-lane semantics where a reaped client's finished job still
+      // counted. The drop itself shows up in jobs_dropped.
+      (done.ok ? counters.results_ok : counters.results_error).inc();
+      {
+        std::lock_guard lock(mu);
+        --executing;
+        counters.executing.set(static_cast<std::int64_t>(executing));
+        completions.push_back(std::move(done));
+      }
+      pipe_.poke();
+    }
+  };
 
-  // Join the lanes on every exit path — including a poll() throw — so a
-  // NetError can propagate without std::thread::~thread terminating.
+  // Join the lanes on every exit path — a failed spawn, a poll() throw —
+  // so an exception can propagate without std::thread::~thread
+  // terminating. Constructed before the first spawn for that reason.
+  std::vector<std::thread> lanes;
   struct LaneJoiner {
     std::mutex& mu;
     std::condition_variable& cv;
     bool& lanes_exit;
     std::vector<std::thread>& lanes;
-    ~LaneJoiner() {
+    void join() {
       {
         std::lock_guard lock(mu);
         lanes_exit = true;
       }
       cv.notify_all();
       for (auto& t : lanes) t.join();
+      lanes.clear();
     }
+    ~LaneJoiner() { join(); }
   } lane_joiner{mu, cv, lanes_exit, lanes};
+  lanes.reserve(lane_count);
+  for (unsigned lane = 0; lane < lane_count; ++lane) {
+    try {
+      lanes.emplace_back(lane_loop);
+    } catch (const std::exception& e) {
+      // Out of threads (e.g. the process thread limit): serve on the
+      // lanes that started. Rows do not depend on the lane count.
+      if (lanes.empty()) throw;
+      logx::warn("lane_spawn_failed", {{"started", lanes.size()},
+                                       {"requested", lane_count},
+                                       {"err", e.what()}});
+      break;
+    }
+  }
+  counters.lanes.set(static_cast<std::int64_t>(lanes.size()));
+  logx::info("server_listening", {{"endpoint", ep_.to_string()},
+                                  {"lanes", lanes.size()}});
 
   // ---- I/O-thread helpers ------------------------------------------------
 
@@ -594,9 +510,7 @@ SocketServerStats SocketServer::run() {
       case net::FrameType::kStatsReq:
         enqueue_response(conn, net::FrameType::kStats, stats_text());
         return;
-      case net::FrameType::kSubmit:
-      case net::FrameType::kSubmitTrace: {
-        const bool want_trace = frame.type == net::FrameType::kSubmitTrace;
+      case net::FrameType::kSubmit: {
         if (draining) {
           enqueue_response(conn, net::FrameType::kError,
                            "server is draining; submit rejected");
@@ -605,25 +519,13 @@ SocketServerStats SocketServer::run() {
         // inc() returns the post-increment value: the counter itself is
         // the submit-number sequence, no shadow variable.
         const std::uint64_t submit_no = counters.submits_accepted.inc();
-        // The global gate covers the ambient always-on tracing; an
-        // explicit echo request overrides it for this one job.
         std::shared_ptr<trace::Collector> tracer;
         std::uint32_t recv_span = 0;
-        if (trace::enabled() || want_trace) {
+        if (trace::enabled()) {
           tracer = std::make_shared<trace::Collector>(submit_no, "submit");
           recv_span = tracer->begin("recv");
           tracer->annotate(recv_span, "conn", conn_id);
           tracer->annotate(recv_span, "bytes", frame.payload.size());
-        }
-        // The claim must be durable before the job can execute: once a
-        // lane may have stored partial cache entries, a crash must find
-        // the S record or recovery has nothing to finish. An append
-        // failure costs recoverability for this one job, nothing else.
-        if (journal_ &&
-            !journal_->append(encode_submit_record(submit_no,
-                                                   frame.payload))) {
-          logx::warn("socket_journal_append_failed",
-                     {{"no", submit_no}, {"trace", submit_no}});
         }
         ++conn.inflight;
         ++inflight_total;
@@ -639,7 +541,7 @@ SocketServerStats SocketServer::run() {
           if (q.empty()) rr_ring.push_back(conn_id);
           q.push_back(PendingJob{conn_id, conn_seq, submit_no,
                                  std::move(frame.payload), Clock::now(),
-                                 std::move(tracer), queue_span, want_trace});
+                                 std::move(tracer), queue_span});
           ++queued;
           counters.queue_depth.set(static_cast<std::int64_t>(queued));
           counters.queue_depth_at_submit.observe(
@@ -667,7 +569,6 @@ SocketServerStats SocketServer::run() {
         if (conn.inflight == 0) begin_close(conn);
         return;
       case net::FrameType::kResult:
-      case net::FrameType::kResultTrace:
       case net::FrameType::kError:
       case net::FrameType::kPong:
       case net::FrameType::kStats:
@@ -803,35 +704,12 @@ SocketServerStats SocketServer::run() {
              conn.ready.begin()->first == conn.next_deliver_seq) {
         Completion& head = conn.ready.begin()->second;
         std::shared_ptr<trace::Collector> tracer = std::move(head.tracer);
-        std::uint32_t respond_span = 0;
+        const std::uint32_t respond_span =
+            tracer ? tracer->begin("respond") : 0;
         if (head.ok) {
-          std::string trace_txt;
-          if (head.want_trace && tracer) {
-            // Render before opening the respond span so the echoed tree
-            // is complete (the respond span itself cannot appear in the
-            // bytes that carry it).
-            trace_txt = trace::render_trace_tree(tracer->snapshot());
-          }
-          if (tracer) respond_span = tracer->begin("respond");
-          if (head.want_trace && tracer &&
-              net::result_trace_wire_size(head.result, trace_txt) <=
-                  net::kMaxWirePayload) {
-            enqueue_response(conn, net::FrameType::kResultTrace,
-                             net::encode_result_trace(head.result,
-                                                      trace_txt));
-          } else if (head.want_trace) {
-            // Result near the frame cap: the echo would not fit. Fail the
-            // request rather than silently answering a SUBMITTRACE with a
-            // bare RESULT the client is not expecting.
-            enqueue_response(conn, net::FrameType::kError,
-                             "result too large for trace echo; "
-                             "resubmit without --trace");
-          } else {
-            enqueue_response(conn, net::FrameType::kResult,
-                             net::encode_result(head.result));
-          }
+          enqueue_response(conn, net::FrameType::kResult,
+                           net::encode_result(head.result));
         } else {
-          if (tracer) respond_span = tracer->begin("respond");
           enqueue_response(conn, net::FrameType::kError, head.error);
         }
         if (tracer) {
@@ -912,13 +790,6 @@ SocketServerStats SocketServer::run() {
 
     if (pfds[0].revents & POLLIN) pipe_.drain();
     deliver_completions();
-    // Idle compaction: with nothing in flight every S has its R, so the
-    // whole tail is settled history — cut it to an empty snapshot. The
-    // journal's steady-state size is the in-flight window, not the
-    // server's lifetime submit count.
-    if (journal_ && inflight_total == 0 && journal_->tail_records() > 0) {
-      journal_->snapshot({});
-    }
     if (stop_.load()) begin_drain();
 
     if (listener_ && !draining) {
@@ -989,13 +860,7 @@ SocketServerStats SocketServer::run() {
     }
   }
 
-  {
-    std::lock_guard lock(mu);
-    lanes_exit = true;
-  }
-  cv.notify_all();
-  for (auto& t : lanes) t.join();
-  lanes.clear();  // the joiner must not join twice
+  lane_joiner.join();
   deliver_completions();  // completions raced with the drain; drop-count them
   counters.ready.set(0);
   logx::info("server_stopped", {});

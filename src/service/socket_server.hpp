@@ -48,26 +48,21 @@
 // queued jobs, flush responses (bounded by idle_timeout_ms for peers
 // that stop reading), then return from run().
 //
-// Crash recovery (opt-in via journal_path): every accepted SUBMIT is
-// journaled durably (`S no payload`, the raw job-file bytes) in a
-// write-ahead changelog before it is queued, and marked done (`R no`) at
-// completion. A server restarted over that journal re-executes the
-// S-without-R jobs through its cache-backed BatchServer *before the
-// listener opens* — not to re-deliver responses (those connections are
-// gone; clients retry), but to prewarm the cache so the retries hit warm
-// entries instead of recomputing (socket_recovered_jobs_total). The
-// journal is compacted to empty at startup and whenever the server goes
-// idle, so it holds in-flight work only, never history.
+// Crash recovery: none of its own. A crash loses the queued and running
+// SUBMITs; their clients see the connection drop and retry. Every
+// per-seed cache entry a lost job already stored survives (entries are
+// immutable temp+rename files), so a retry recomputes only what was not
+// stored yet.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "net/socket.hpp"
 #include "service/result_cache.hpp"
-#include "support/changelog.hpp"
 #include "support/fdio.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -93,10 +88,6 @@ struct SocketServerOptions {
   /// Cache byte budget (ResultCache open-with-budget semantics); nonzero
   /// without cache_dir is a JobError.
   std::uint64_t cache_budget = 0;
-  /// Changelog base path for the submit journal (files journal_path +
-  /// ".log"/".snap"); empty = no journal. Costs one durable append per
-  /// SUBMIT on the I/O thread; buys cache-prewarming crash recovery.
-  std::string journal_path;
   /// Cap on one frame's declared payload length; a SUBMIT announcing
   /// more is rejected from its header alone.
   std::size_t max_frame_bytes = 16u << 20;
@@ -121,8 +112,8 @@ struct SocketServerOptions {
   metrics::Registry* registry = nullptr;
   /// Where completed per-SUBMIT traces are published (the recent ring +
   /// slowest-K retention GET /tracez renders). Null = traces are built
-  /// only when a client asks for an echo (SUBMITTRACE) and discarded
-  /// after delivery. Not owned; must outlive run().
+  /// (while trace::enabled()) and discarded after delivery. Not owned;
+  /// must outlive run().
   trace::TraceSink* trace_sink = nullptr;
   /// A job whose end-to-end trace exceeds this many milliseconds emits
   /// one rate-limited `event=slow_job` log line carrying the flattened
@@ -150,7 +141,7 @@ struct SocketServerStats {
   /// Jobs whose connection died first: queued jobs discarded unexecuted
   /// plus finished jobs whose response had no live connection to go to.
   std::uint64_t jobs_dropped = 0;
-  unsigned lanes = 0;  ///< effective executor lane count
+  unsigned lanes = 0;  ///< lanes that started (see SocketServer::run)
 };
 
 /// The SocketServerStats a registry snapshot implies. cache_hits and
@@ -167,7 +158,9 @@ class SocketServer {
   explicit SocketServer(SocketServerOptions opts);
 
   /// Serves until a stop condition, then drains and returns the final
-  /// counters. Call at most once.
+  /// counters. Call at most once. A lane whose thread cannot be spawned
+  /// (e.g. the process thread limit) is skipped: the server runs on the
+  /// lanes that started, and throws only when none did.
   SocketServerStats run();
 
   /// Safe from other threads and from signal handlers.
@@ -189,10 +182,6 @@ class SocketServer {
   /// The registry this server instruments (the configured one, or the
   /// private fallback). An admin endpoint scrapes this.
   [[nodiscard]] metrics::Registry& registry() noexcept { return *reg_; }
-  /// Null when no journal_path was configured.
-  [[nodiscard]] const Changelog* journal() const noexcept {
-    return journal_ ? &*journal_ : nullptr;
-  }
 
  private:
   SocketServerOptions opts_;
@@ -203,10 +192,6 @@ class SocketServer {
   net::Endpoint ep_;
   std::optional<net::Listener> listener_;  ///< reset when draining begins
   std::optional<ResultCache> cache_;       ///< engaged iff cache_dir is set
-  /// Submit journal (engaged iff journal_path is set). The changelog's
-  /// internal mutex covers the I/O thread's S appends racing the lanes'
-  /// R appends.
-  std::optional<Changelog> journal_;
   fdio::Pipe pipe_;                        ///< wakes poll from stop/executor
   std::atomic<bool> stop_{false};
 };

@@ -1,7 +1,6 @@
 #include "support/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -10,12 +9,6 @@
 namespace distapx::metrics {
 
 namespace {
-
-double steady_now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Shortest round-trip-ish rendering for bucket bounds and sums ("0.25",
 /// "10", "2.5e+06") — %g keeps the ladder values readable, which matters
@@ -75,8 +68,7 @@ double HistogramSnapshot::quantile(double q) const noexcept {
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1),
-      wincounts_(2 * (bounds_.size() + 1)) {
+      counts_(bounds_.size() + 1) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     DISTAPX_ENSURE_MSG(bounds_[i - 1] < bounds_[i],
                        "histogram bounds must be strictly increasing");
@@ -87,50 +79,12 @@ void Histogram::observe(double v) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  const std::size_t stride = counts_.size();
-  wincounts_[active_.load(std::memory_order_relaxed) * stride + bucket]
-      .fetch_add(1, std::memory_order_relaxed);
   // No atomic<double>::fetch_add before C++20 library support settles;
   // a CAS loop is equivalent and contention here is negligible.
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
-}
-
-HistogramSnapshot Histogram::recent(double now_seconds) const {
-  const std::size_t stride = counts_.size();
-  {
-    const std::lock_guard<std::mutex> lock(rotate_mu_);
-    if (!window_started_) {
-      window_started_ = true;
-      window_start_ = now_seconds;
-    } else if (now_seconds - window_start_ >= 2 * window_len_) {
-      // Both windows are stale; nothing observed lately counts as recent.
-      for (auto& c : wincounts_) c.store(0, std::memory_order_relaxed);
-      window_start_ = now_seconds;
-    } else if (now_seconds - window_start_ >= window_len_) {
-      // Retire the active window, clear and activate the other one.
-      const std::uint32_t next =
-          1 - active_.load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < stride; ++i) {
-        wincounts_[next * stride + i].store(0, std::memory_order_relaxed);
-      }
-      active_.store(next, std::memory_order_relaxed);
-      window_start_ = now_seconds;
-    }
-  }
-  HistogramSnapshot s;
-  s.bounds = bounds_;
-  s.counts.reserve(stride);
-  for (std::size_t i = 0; i < stride; ++i) {
-    const std::uint64_t n =
-        wincounts_[i].load(std::memory_order_relaxed) +
-        wincounts_[stride + i].load(std::memory_order_relaxed);
-    s.counts.push_back(n);
-    s.count += n;
-  }
-  return s;
 }
 
 HistogramSnapshot Histogram::snapshot() const {
@@ -231,7 +185,6 @@ Snapshot Registry::snapshot() const {
   // Run before taking mu_ so a hook that resolves handles up front but
   // still calls into the registry cannot deadlock against us.
   if (hook) hook();
-  const double now = steady_now_seconds();
   const std::lock_guard<std::mutex> lock(mu_);
   Snapshot s;
   s.counters.reserve(counters_.size());
@@ -248,7 +201,7 @@ Snapshot Registry::snapshot() const {
   }
   s.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    s.histograms.push_back({name, h->snapshot(), h->recent(now)});
+    s.histograms.push_back({name, h->snapshot()});
   }
   return s;
 }

@@ -110,15 +110,10 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket histogram. Buckets are chosen at registration and never
-/// change; observe() is three relaxed atomic adds plus a branch-free-ish
-/// upper_bound over ~20 doubles.
-///
-/// Besides the cumulative counts, each histogram keeps a rotating pair of
-/// sampling windows (~60s each) so readers can report "recent" quantiles
-/// — p95 over the last minute or two — next to the all-time ones. The
-/// hot path only bumps the active window's bucket; rotation happens
-/// lazily inside recent(), never on observe(). Prometheus rendering is
-/// cumulative-only and unaffected.
+/// change; observe() is a lower_bound over ~20 doubles, one relaxed
+/// atomic add on the bucket and a relaxed CAS on the sum. Every reader
+/// (Prometheus rendering, /vars, the STATS views) sees cumulative
+/// counts.
 class Histogram {
  public:
   /// `bounds` must be strictly increasing; an overflow bucket is added
@@ -128,20 +123,6 @@ class Histogram {
   void observe(double v) noexcept;
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
-  /// Merged view of the two sampling windows: everything observed within
-  /// roughly the last one to two window lengths. `now_seconds` is any
-  /// monotone clock in seconds (the registry feeds steady_clock; tests
-  /// pass synthetic time). Rotates windows as a side effect — a window
-  /// older than one length is retired, older than two is discarded. The
-  /// returned snapshot has sum == 0 (windows track counts only; quantile
-  /// interpolation never reads sum).
-  [[nodiscard]] HistogramSnapshot recent(double now_seconds) const;
-
-  /// Window length in seconds (fixed; exposed for tests and docs).
-  [[nodiscard]] double window_seconds() const noexcept {
-    return window_len_;
-  }
-
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
     return bounds_;
   }
@@ -150,16 +131,6 @@ class Histogram {
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> counts_;  ///< bounds_.size() + 1
   std::atomic<double> sum_{0};
-
-  // Two windows of bounds_.size()+1 buckets each, stored back to back;
-  // active_ indexes which half observe() bumps. rotate_mu_ serializes
-  // rotation decisions (readers only — the hot path never takes it).
-  mutable std::vector<std::atomic<std::uint64_t>> wincounts_;
-  mutable std::atomic<std::uint32_t> active_{0};
-  double window_len_ = 60.0;
-  mutable std::mutex rotate_mu_;
-  mutable double window_start_ = 0;  ///< guarded by rotate_mu_
-  mutable bool window_started_ = false;
 };
 
 /// Default latency ladder in milliseconds: 10µs to 10s, roughly 2.5x per
@@ -184,7 +155,6 @@ struct Snapshot {
   struct HistogramSample {
     std::string name;
     HistogramSnapshot hist;
-    HistogramSnapshot recent;  ///< rotating-window view at snapshot time
   };
 
   std::vector<CounterSample> counters;

@@ -127,15 +127,6 @@ std::uint64_t Collector::elapsed_ns() const noexcept {
   return ns_between(t0_, SteadyClock::now());
 }
 
-Trace Collector::snapshot() const {
-  const std::uint64_t now = ns_between(t0_, SteadyClock::now());
-  const std::lock_guard<std::mutex> lock(mu_);
-  Trace t = trace_;
-  t.duration_ns = now;
-  t.dropped_spans = dropped_;
-  return t;
-}
-
 Trace Collector::finish() {
   const std::uint64_t now = ns_between(t0_, SteadyClock::now());
   const std::lock_guard<std::mutex> lock(mu_);

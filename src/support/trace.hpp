@@ -18,8 +18,7 @@
 //   TraceSink the server-wide retention buffer: the last kRecentTraces
 //             completed traces plus the kSlowestPerEndpoint slowest per
 //             endpoint, held as shared pointers under one mutex. GET
-//             /tracez renders both; `submit --trace` echoes one trace
-//             before it is even published.
+//             /tracez renders both.
 //
 // Cost model: tracing is always-on. When the runtime kill switch is off
 // (DISTAPX_TRACE=off, or set_enabled(false)), the serving layers create
@@ -58,8 +57,8 @@ void set_enabled(bool on) noexcept;
 // ---- the span/trace model ------------------------------------------------
 
 /// One interval. Times are nanoseconds relative to the trace's start on
-/// the same steady clock; end_ns == 0 marks a span that was still open
-/// when the trace was snapshotted (rendered with a trailing "(open)").
+/// the same steady clock; end_ns == 0 marks a span that was never closed
+/// (rendered with a trailing "(open)"; Collector::finish closes them all).
 struct Span {
   std::uint32_t id = 0;      ///< 1-based index into Trace::spans
   std::uint32_t parent = 0;  ///< 1-based parent id; 0 = top level
@@ -75,14 +74,14 @@ struct Span {
   }
 };
 
-/// One completed (or snapshotted) unit of work. Spans are in start order;
+/// One completed unit of work. Spans are in start order;
 /// a child's parent always has a smaller id, so the tree renders in one
 /// forward pass.
 struct Trace {
   std::uint64_t id = 0;        ///< submit_no / spool sequence
   std::string endpoint;        ///< "submit", "spool", ...
   std::uint64_t start_unix_ms = 0;  ///< wall clock, display only
-  std::uint64_t duration_ns = 0;    ///< trace start -> finish/snapshot
+  std::uint64_t duration_ns = 0;    ///< trace start -> finish
   std::uint32_t dropped_spans = 0;  ///< beyond kMaxSpansPerTrace
   std::vector<Span> spans;
 };
@@ -116,11 +115,6 @@ class Collector {
   /// Nanoseconds since the trace started (the collector's own clock).
   [[nodiscard]] std::uint64_t elapsed_ns() const noexcept;
 
-  /// A copy of the trace as of now: open spans keep end_ns == 0,
-  /// duration_ns = elapsed so far. This is what `submit --trace` echoes
-  /// (the respond span cannot be closed before the response is sent).
-  [[nodiscard]] Trace snapshot() const;
-
   /// Closes every open span at now and returns the final trace. The
   /// collector may not be used afterwards.
   Trace finish();
@@ -129,7 +123,7 @@ class Collector {
   const std::uint64_t id_;
   const std::string endpoint_;
   const std::chrono::steady_clock::time_point t0_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   Trace trace_;  ///< guarded by mu_ (id/endpoint/start duplicated at finish)
   std::uint32_t dropped_ = 0;
 };

@@ -105,7 +105,7 @@ TEST(AdminHttp, StatuszRendersBuildStatusFieldsAndProcessGauges) {
   EXPECT_NE(body.find("process_max_rss_bytes: 123456"), std::string::npos);
 }
 
-TEST(AdminHttp, VarsRendersCountersFloatsAndRecentQuantiles) {
+TEST(AdminHttp, VarsRendersCountersFloatsAndQuantiles) {
   metrics::Registry reg;
   reg.counter("results_ok_total").inc(7);
   reg.float_gauge("process_cpu_seconds_total").set(0.5);
@@ -121,8 +121,7 @@ TEST(AdminHttp, VarsRendersCountersFloatsAndRecentQuantiles) {
   EXPECT_NE(body.find("process_cpu_seconds_total"), std::string::npos);
   EXPECT_NE(body.find("job_latency_ms_count 100"), std::string::npos);
   EXPECT_NE(body.find("job_latency_ms_p95"), std::string::npos);
-  EXPECT_NE(body.find("job_latency_ms_recent_count 100"), std::string::npos);
-  EXPECT_NE(body.find("job_latency_ms_recent_p99"), std::string::npos);
+  EXPECT_NE(body.find("job_latency_ms_p99"), std::string::npos);
 }
 
 TEST(AdminHttp, TracezRendersSinkOrExplainsItsAbsence) {

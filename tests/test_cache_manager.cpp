@@ -527,31 +527,6 @@ TEST(CacheManager, JournalAppendFailuresAreCountedNotThrown) {
   EXPECT_EQ(manager.journal()->snapshot_records(), 2u);
 }
 
-TEST(CacheManager, PrewarmValidatesJournalKnownEntriesWithoutRepairing) {
-  const ScopedTempDir dir("distapx-mgr-prewarm");
-  service::ResultCache cache(dir.str(), 100 * kEntry);
-  const auto keys = fill_entries(cache, 6);
-  service::CacheManager& manager = *cache.manager();
-
-  auto report = manager.prewarm();
-  EXPECT_EQ(report.checked, 6u);
-  EXPECT_EQ(report.ok, 6u);
-  EXPECT_EQ(report.invalid, 0u);
-  EXPECT_EQ(report.bytes, 6 * kEntry);
-
-  // A damaged entry is reported, never modified (repair is verify's job).
-  {
-    std::ofstream os(cache.entry_path(keys[0]),
-                     std::ios::binary | std::ios::trunc);
-    os << "garbage";
-  }
-  report = manager.prewarm();
-  EXPECT_EQ(report.checked, 6u);
-  EXPECT_EQ(report.ok, 5u);
-  EXPECT_EQ(report.invalid, 1u);
-  EXPECT_TRUE(fs::exists(cache.entry_path(keys[0])));
-}
-
 // ---- concurrent eviction (the satellite contract) --------------------------
 
 TEST(CacheManager, ConcurrentEvictionWithFillsAndReadsIsSafe) {

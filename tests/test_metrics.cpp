@@ -205,40 +205,24 @@ TEST(Metrics, RefreshHookRunsBeforeEverySnapshot) {
   EXPECT_EQ(calls, 2);
 }
 
-TEST(Metrics, HistogramRecentWindowsRotateAndExpire) {
-  Histogram h({1, 10, 100});
-  const double win = h.window_seconds();
-  for (int i = 0; i < 8; ++i) h.observe(5.0);
-
-  // Inside the first window: everything is recent.
-  EXPECT_EQ(h.recent(0.0).count, 8u);
-  // One window later the observations sit in the "other" window and are
-  // still reported (recent = last one-to-two windows).
-  EXPECT_EQ(h.recent(win + 1).count, 8u);
-  h.observe(5.0);
-  EXPECT_EQ(h.recent(win + 1).count, 9u);
-  // Two windows with no observations: the old ones age out entirely.
-  EXPECT_EQ(h.recent(3 * win + 2).count, 0u);
-  // The cumulative view never expires.
-  EXPECT_EQ(h.snapshot().count, 9u);
-  // Recent snapshots support quantiles (sum stays 0 by contract).
-  for (int i = 0; i < 10; ++i) h.observe(5.0);
-  const HistogramSnapshot recent = h.recent(3 * win + 2);
-  EXPECT_EQ(recent.count, 10u);
-  EXPECT_EQ(recent.sum, 0.0);
-  const double p50 = recent.quantile(0.5);
-  EXPECT_GT(p50, 1.0);
-  EXPECT_LE(p50, 10.0);
-}
-
-TEST(Metrics, SnapshotCarriesRecentHistogramView) {
+TEST(Metrics, SnapshotCarriesTheCumulativeHistogram) {
   Registry reg;
   Histogram& h = reg.histogram("lat_ms", {1, 10, 100});
   for (int i = 0; i < 4; ++i) h.observe(2.0);
+  h.observe(500.0);
   const Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].hist.count, 4u);
-  EXPECT_EQ(snap.histograms[0].recent.count, 4u);
+  EXPECT_EQ(snap.histograms[0].name, "lat_ms");
+  const HistogramSnapshot& s = snap.histograms[0].hist;
+  EXPECT_EQ(s.counts, (std::vector<std::uint64_t>{0, 4, 0, 1}));
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_DOUBLE_EQ(s.sum, 4 * 2.0 + 500.0);
+  ASSERT_NE(snap.histogram("lat_ms"), nullptr);
+  EXPECT_EQ(snap.histogram("lat_ms")->count, 5u);
+  // Counts only grow: a later snapshot holds every earlier observation.
+  h.observe(2.0);
+  EXPECT_EQ(reg.snapshot().histograms[0].hist.count, 6u);
+  EXPECT_EQ(s.count, 5u);  // the earlier snapshot is a copy
 }
 
 TEST(MetricsConcurrency, RegistrationRacesResolveToOneInstance) {

@@ -10,6 +10,7 @@
 // misparse them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,7 @@ TEST(FrameCodec, RoundTripsEveryType) {
   const std::vector<FrameType> types = {
       FrameType::kHello,    FrameType::kSubmit, FrameType::kResult,
       FrameType::kError,    FrameType::kPing,   FrameType::kPong,
-      FrameType::kStatsReq, FrameType::kStats,  FrameType::kShutdown,
-      FrameType::kSubmitTrace, FrameType::kResultTrace};
+      FrameType::kStatsReq, FrameType::kStats,  FrameType::kShutdown};
   FrameReader reader(1 << 20);
   for (const FrameType t : types) {
     reader.feed(wire(t, "payload-of-" + std::to_string(static_cast<int>(t))));
@@ -127,6 +127,24 @@ TEST(FrameCodec, UnknownTypeByte) {
   reader.feed(bytes);
   Frame f;
   EXPECT_EQ(reader.next(f), FrameStatus::kBadType);
+}
+
+TEST(FrameCodec, RetiredTraceEchoTypeBytesAreUnknown) {
+  // 10 and 11 carried a removed trace-echo SUBMIT/RESULT pair; they stay
+  // retired, so a peer that still sends them is classified, not served.
+  EXPECT_FALSE(net::is_known_frame_type(0));
+  EXPECT_TRUE(net::is_known_frame_type(
+      static_cast<std::uint8_t>(FrameType::kShutdown)));
+  for (const int type : {10, 11}) {
+    EXPECT_FALSE(net::is_known_frame_type(static_cast<std::uint8_t>(type)))
+        << type;
+    std::string bytes = wire(FrameType::kSubmit, "gen=path:10 algo=luby\n");
+    bytes[5] = static_cast<char>(type);
+    FrameReader reader(1 << 20);
+    reader.feed(bytes);
+    Frame f;
+    EXPECT_EQ(reader.next(f), FrameStatus::kBadType) << type;
+  }
 }
 
 TEST(FrameCodec, ReservedBitsMustBeZero) {
@@ -245,39 +263,6 @@ TEST(ProtocolCodec, ResultRejectsTrailingBytes) {
   in.runs_csv = "rows";
   net::ResultPayload out;
   EXPECT_FALSE(net::decode_result(net::encode_result(in) + "x", out));
-}
-
-TEST(ProtocolCodec, ResultTraceRoundTrip) {
-  net::ResultPayload in;
-  in.summary_csv = "name,runs\njob0,4\n";
-  in.runs_csv = "job,seed\njob0,1\n";
-  in.report_txt = "runs 4\n";
-  const std::string tree = "trace 42 endpoint=submit\n  recv 0.1ms\n";
-  const std::string bytes = net::encode_result_trace(in, tree);
-  EXPECT_EQ(bytes.size(), net::result_trace_wire_size(in, tree));
-  net::ResultPayload out;
-  std::string tree_out;
-  ASSERT_TRUE(net::decode_result_trace(bytes, out, tree_out));
-  EXPECT_EQ(in, out);
-  EXPECT_EQ(tree, tree_out);
-  // The trace section is a strict extension: RESULT's own codec must not
-  // accept the four-section payload, nor vice versa.
-  EXPECT_FALSE(net::decode_result(bytes, out));
-  EXPECT_FALSE(net::decode_result_trace(net::encode_result(in), out,
-                                        tree_out));
-}
-
-TEST(ProtocolCodec, ResultTraceRejectsTruncationAtEveryByte) {
-  net::ResultPayload in;
-  in.summary_csv = "s";
-  in.report_txt = "r";
-  const std::string bytes = net::encode_result_trace(in, "tree");
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    net::ResultPayload out;
-    std::string tree;
-    EXPECT_FALSE(net::decode_result_trace(bytes.substr(0, cut), out, tree))
-        << "cut at " << cut;
-  }
 }
 
 // ---- endpoint parsing ----------------------------------------------------

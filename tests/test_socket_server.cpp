@@ -35,7 +35,6 @@
 #include "service/job_spec.hpp"
 #include "service/report_sink.hpp"
 #include "service/socket_server.hpp"
-#include "support/changelog.hpp"
 #include "support/fdio.hpp"
 #include "support/trace.hpp"
 #include "test_helpers.hpp"
@@ -235,6 +234,31 @@ TEST(SocketServer, ConcurrentClientsSharingOneCacheGetIdenticalRows) {
             static_cast<std::uint64_t>(kClients * kRepeats * 7));
   EXPECT_GE(stats.cache_hits, static_cast<std::uint64_t>(
                                   (kClients * kRepeats - 1) * 7));
+}
+
+TEST(SocketServer, RestartOnTheSameCacheAnswersFromStoredEntries) {
+  // What a restarted server needs from its predecessor is in the cache:
+  // every per-seed entry a finished job stored is a hit for the next
+  // server process, with the same bytes and no recompute.
+  const ScopedTempDir cache_dir("distapx-socket-restart");
+  const net::ResultPayload reference = direct_reference(kJobs);
+  for (const bool restarted : {false, true}) {
+    ServerFixture fixture([&](service::SocketServerOptions& o) {
+      o.lanes = 1;
+      o.cache_dir = cache_dir.str();
+    });
+    net::Client client = net::Client::connect(fixture.endpoint());
+    const net::SubmitOutcome outcome = client.submit(kJobs);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.result.runs_csv, reference.runs_csv)
+        << "restarted=" << restarted;
+    EXPECT_EQ(outcome.result.summary_csv, reference.summary_csv)
+        << "restarted=" << restarted;
+    const auto stats = fixture.finish();
+    EXPECT_EQ(stats.results_ok, 1u);
+    EXPECT_EQ(stats.cache_hits, restarted ? 7u : 0u);
+    EXPECT_EQ(stats.computed, restarted ? 0u : 7u);
+  }
 }
 
 TEST(SocketServer, RowsAreByteIdenticalAtEveryLaneCount) {
@@ -646,38 +670,13 @@ TEST(SocketServer, MaxRequestsBoundsTheRunAndStillAnswersTheLastSubmit) {
   EXPECT_TRUE(fixture.wait_done()) << "run() did not return at max_requests";
 }
 
-TEST(SocketServer, TracedSubmitEchoesTheSpanTreeWithIdenticalResultBytes) {
-  const net::ResultPayload reference = direct_reference(kJobs);
-  ServerFixture fixture;
-  net::Client client = net::Client::connect(fixture.endpoint());
-  const net::SubmitOutcome traced = client.submit_traced(kJobs);
-  ASSERT_TRUE(traced.ok) << traced.error;
-  // The determinism contract survives the trace echo: result bytes are
-  // exactly the plain-SUBMIT (and direct batch) bytes.
-  EXPECT_EQ(traced.result.runs_csv, reference.runs_csv);
-  EXPECT_EQ(traced.result.summary_csv, reference.summary_csv);
-  ASSERT_FALSE(traced.trace_txt.empty());
-  for (const char* name : {"trace 1", "endpoint=submit", "recv",
-                           "queue-wait", "lane-execute", "compute"}) {
-    EXPECT_NE(traced.trace_txt.find(name), std::string::npos)
-        << "missing span " << name << " in:\n"
-        << traced.trace_txt;
-  }
-  // A plain submit on the same connection still answers with a bare
-  // RESULT (no trace text), and the same bytes.
-  const net::SubmitOutcome plain = client.submit(kJobs);
-  ASSERT_TRUE(plain.ok) << plain.error;
-  EXPECT_EQ(plain.result.runs_csv, reference.runs_csv);
-  EXPECT_TRUE(plain.trace_txt.empty());
-}
-
 TEST(SocketServer, CompletedSubmitsArePublishedIntoTheTraceSink) {
   trace::TraceSink sink;
   ServerFixture fixture(
       [&](service::SocketServerOptions& o) { o.trace_sink = &sink; });
   net::Client client = net::Client::connect(fixture.endpoint());
   ASSERT_TRUE(client.submit(kJobs).ok);
-  ASSERT_TRUE(client.submit_traced(kJobs).ok);
+  ASSERT_TRUE(client.submit(kJobs).ok);
   // Publication happens when the respond bytes flush; the client holding
   // both responses means the flush already ran, but give the server a
   // beat under sanitizer schedulers.
@@ -688,12 +687,18 @@ TEST(SocketServer, CompletedSubmitsArePublishedIntoTheTraceSink) {
   EXPECT_EQ(sink.published_total(), 2u);
   const std::vector<trace::Trace> recent = sink.recent();
   ASSERT_EQ(recent.size(), 2u);
-  // Newest first: the traced submit (#2), then the plain one (#1) —
-  // both carry the full span set including the closed respond span.
+  // Newest first: submit #2, then #1 — both carry the full span set,
+  // from the arrival through the lane to the closed respond span.
   EXPECT_EQ(recent[0].id, 2u);
   EXPECT_EQ(recent[1].id, 1u);
   for (const trace::Trace& t : recent) {
     EXPECT_EQ(t.endpoint, "submit");
+    for (const char* name : {"recv", "queue-wait", "lane-execute", "compute"}) {
+      bool saw = false;
+      for (const trace::Span& s : t.spans) saw = saw || s.name == name;
+      EXPECT_TRUE(saw) << "missing span " << name << " in:\n"
+                       << trace::render_trace_tree(t);
+    }
     bool saw_respond_closed = false;
     for (const trace::Span& s : t.spans) {
       if (s.name == "respond" && s.end_ns != 0) saw_respond_closed = true;
@@ -702,28 +707,101 @@ TEST(SocketServer, CompletedSubmitsArePublishedIntoTheTraceSink) {
   }
 }
 
-TEST(SocketServer, TracingDisabledStillAnswersATraceRequest) {
-  // The kill switch stops ambient collection; an explicit SUBMITTRACE is
-  // a client contract and must keep working.
+TEST(SocketServer, TracingDisabledAnswersIdenticalBytesAndPublishesNothing) {
+  // The kill switch stops collection outright: no Collector is built, so
+  // nothing reaches the sink, and the RESULT bytes are the same ones a
+  // traced server sends.
+  const net::ResultPayload reference = direct_reference(kJobs);
   trace::set_enabled(false);
   trace::TraceSink sink;
-  ServerFixture fixture(
-      [&](service::SocketServerOptions& o) { o.trace_sink = &sink; });
-  net::Client client = net::Client::connect(fixture.endpoint());
-  const net::SubmitOutcome plain = client.submit(kJobs);
-  ASSERT_TRUE(plain.ok);
-  const net::SubmitOutcome traced = client.submit_traced(kJobs);
-  trace::set_enabled(true);
-  ASSERT_TRUE(traced.ok) << traced.error;
-  EXPECT_FALSE(traced.trace_txt.empty());
-  EXPECT_EQ(traced.result.runs_csv, plain.result.runs_csv);
-  // Only the explicitly requested trace was built (and published). The
-  // publish lands a beat after the client holds the response bytes.
-  for (int waited = 0; sink.published_total() < 1 && waited < 5000;
-       waited += 10) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  net::SubmitOutcome outcome;
+  service::SocketServerStats stats;
+  {
+    ServerFixture fixture(
+        [&](service::SocketServerOptions& o) { o.trace_sink = &sink; });
+    net::Client client = net::Client::connect(fixture.endpoint());
+    outcome = client.submit(kJobs);
+    // finish() drains: every flush watcher that could publish has run.
+    stats = fixture.finish();
   }
-  EXPECT_EQ(sink.published_total(), 1u);
+  trace::set_enabled(true);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.result.runs_csv, reference.runs_csv);
+  EXPECT_EQ(outcome.result.summary_csv, reference.summary_csv);
+  EXPECT_EQ(stats.results_ok, 1u);
+  EXPECT_EQ(sink.published_total(), 0u);
+}
+
+TEST(SocketServer, RetiredTraceEchoFrameTypesGetAClassifiedErr) {
+  ServerFixture fixture;
+  // A well-behaved client connects first and stays connected throughout.
+  net::Client survivor = net::Client::connect(fixture.endpoint());
+
+  for (const int type : {10, 11}) {
+    fdio::Fd raw = net::connect_endpoint(fixture.endpoint());
+    std::string frame = net::encode_frame(net::FrameType::kSubmit, kJobs);
+    frame[5] = static_cast<char>(type);  // retired SUBMITTRACE/RESULTTRACE
+    ASSERT_TRUE(write_raw(raw.get(), frame));
+    const auto reply = read_raw_frame(raw.get());
+    ASSERT_TRUE(reply.has_value()) << type;
+    EXPECT_EQ(reply->type, net::FrameType::kError);
+    EXPECT_NE(reply->payload.find("bad-type"), std::string::npos)
+        << reply->payload;
+    char byte;
+    EXPECT_EQ(fdio::read_some(raw.get(), &byte, 1), 0);  // and hung up on
+  }
+
+  const net::SubmitOutcome outcome = survivor.submit(kJobs);
+  EXPECT_TRUE(outcome.ok) << outcome.error;
+  const auto stats = fixture.finish();
+  EXPECT_EQ(stats.protocol_errors, 2u);
+  EXPECT_EQ(stats.submits_accepted, 1u);
+  EXPECT_EQ(stats.results_ok, 1u);
+}
+
+TEST(SocketServer, LaneSpawnFailureServesOnTheLanesThatStarted) {
+  // run() asks for 4 lanes with one free thread slot left: one lane
+  // starts, the next spawn throws. The server must serve on that lane,
+  // with the same rows, instead of aborting.
+  if (!test::OneFreeThreadSlot::possible()) {
+    GTEST_SKIP() << "cannot lower the thread limit in a child process";
+  }
+  const net::ResultPayload reference = direct_reference(kJobs);
+  service::SocketServerOptions opts;
+  // TCP, not a Unix path: the squeeze drops root, and the client thread
+  // may dial after that, when a root-owned socket file would refuse it.
+  opts.endpoint = net::parse_endpoint("127.0.0.1:0");
+  opts.threads = 1;  // the lane is the only worker: no further spawns
+  opts.lanes = 4;
+  opts.max_requests = 1;
+  EXPECT_EXIT(
+      {
+        bool ok = false;
+        {
+          service::SocketServer server(opts);
+          net::SubmitOutcome outcome;
+          // The client's thread must exist before the squeeze.
+          std::thread client([&] {
+            try {
+              outcome = net::Client::connect(server.endpoint()).submit(kJobs);
+            } catch (const std::exception&) {
+            }
+          });
+          service::SocketServerStats stats;
+          {
+            const test::OneFreeThreadSlot one_slot;
+            stats = server.run();
+          }
+          client.join();
+          // stats.lanes is not pinned: other processes of this uid may
+          // free or take thread slots while the lanes spawn.
+          ok = outcome.ok && outcome.result.runs_csv == reference.runs_csv &&
+               outcome.result.summary_csv == reference.summary_csv &&
+               stats.lanes >= 1 && stats.results_ok == 1;
+        }
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SocketServer, TcpEphemeralPortOnLocalhostServes) {
@@ -785,102 +863,6 @@ TEST(SocketServer, StaleSocketPathIsReclaimedALiveOneIsNot) {
     std::ofstream squatter(path);
   }
   EXPECT_THROW(service::SocketServer{opts}, net::NetError);
-}
-
-// ---- crash recovery via the submit journal ----------------------------------
-
-TEST(SocketServer, JournaledSubmitWithoutCompletionIsRecoveredIntoTheCache) {
-  const ScopedTempDir dir("distapx-socket-recover");
-  std::filesystem::create_directories(dir.path / "cache");
-  const std::string journal = (dir.path / "journal").string();
-  // A predecessor accepted submit #1 (the S record landed durably before
-  // any lane touched it) and crashed before the R record.
-  {
-    Changelog j(journal);
-    ASSERT_TRUE(j.append("S 1 " + std::string(kJobs)));
-  }
-
-  ServerFixture fixture([&](service::SocketServerOptions& o) {
-    o.cache_dir = (dir.path / "cache").string();
-    o.journal_path = journal;
-  });
-  // Recovery ran in the constructor, before the listener opened, and the
-  // consumed claim was compacted away — history must not replay twice.
-  EXPECT_EQ(
-      fixture.server().registry().counter("socket_recovered_jobs_total")
-          .value(),
-      1u);
-  ASSERT_NE(fixture.server().journal(), nullptr);
-  EXPECT_EQ(fixture.server().journal()->snapshot_records(), 0u);
-
-  // The client's retry lands entirely on the prewarmed cache — identical
-  // bytes, zero recomputation.
-  const net::ResultPayload reference = direct_reference(kJobs);
-  net::Client client = net::Client::connect(fixture.endpoint());
-  const net::SubmitOutcome outcome = client.submit(kJobs);
-  ASSERT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_EQ(outcome.result.runs_csv, reference.runs_csv);
-  EXPECT_EQ(outcome.result.summary_csv, reference.summary_csv);
-
-  const auto stats = fixture.finish();
-  EXPECT_EQ(stats.computed, 7u);    // the recovery pass, nothing else
-  EXPECT_EQ(stats.cache_hits, 7u);  // the retry, entirely warm
-}
-
-TEST(SocketServer, CompletedSubmitsAreNeverReExecutedOnRestart) {
-  const ScopedTempDir dir("distapx-socket-norerun");
-  std::filesystem::create_directories(dir.path / "cache");
-  const std::string journal = (dir.path / "journal").string();
-  {
-    ServerFixture fixture([&](service::SocketServerOptions& o) {
-      o.cache_dir = (dir.path / "cache").string();
-      o.journal_path = journal;
-    });
-    net::Client client = net::Client::connect(fixture.endpoint());
-    ASSERT_TRUE(client.submit(kJobs).ok);
-    fixture.finish();
-  }
-  // Every accepted S has its R: a restart over the same journal finds no
-  // pending claims and recovers nothing.
-  ServerFixture restarted([&](service::SocketServerOptions& o) {
-    o.cache_dir = (dir.path / "cache").string();
-    o.journal_path = journal;
-  });
-  EXPECT_EQ(
-      restarted.server().registry().counter("socket_recovered_jobs_total")
-          .value(),
-      0u);
-  // And the cache the first server filled still serves the same bytes.
-  net::Client client = net::Client::connect(restarted.endpoint());
-  const net::SubmitOutcome outcome = client.submit(kJobs);
-  ASSERT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_EQ(outcome.result.runs_csv, direct_reference(kJobs).runs_csv);
-  const auto stats = restarted.finish();
-  EXPECT_EQ(stats.cache_hits, 7u);
-  EXPECT_EQ(stats.computed, 0u);
-}
-
-TEST(SocketServer, RecoveryWithoutACacheDropsTheClaimsCleanly) {
-  const ScopedTempDir dir("distapx-socket-nocache");
-  std::filesystem::create_directories(dir.path);
-  const std::string journal = (dir.path / "journal").string();
-  {
-    Changelog j(journal);
-    ASSERT_TRUE(j.append("S 1 " + std::string(kJobs)));
-    ASSERT_TRUE(j.append("S 2 not a job file at all"));
-  }
-  // No cache: there is nowhere useful to put recovered results, so the
-  // claims are dropped (clients retry) and the server starts normally.
-  ServerFixture fixture([&](service::SocketServerOptions& o) {
-    o.journal_path = journal;
-  });
-  EXPECT_EQ(
-      fixture.server().registry().counter("socket_recovered_jobs_total")
-          .value(),
-      0u);
-  EXPECT_EQ(fixture.server().journal()->snapshot_records(), 0u);
-  net::Client client = net::Client::connect(fixture.endpoint());
-  EXPECT_TRUE(client.submit(kJobs).ok);
 }
 
 }  // namespace

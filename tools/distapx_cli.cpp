@@ -12,19 +12,15 @@
 //                     [--durability none|full] [--admin ADDR]
 //                     [--log-level LEVEL] [--slow-ms M]
 //   distapx_cli serve --listen <path|host:port> [--cache-dir DIR]
-//                     [--cache-budget SIZE] [--journal PATH] [--threads N]
-//                     [--lanes N] [--max-requests K] [--idle-timeout-ms M]
+//                     [--cache-budget SIZE] [--threads N] [--lanes N]
+//                     [--max-requests K] [--idle-timeout-ms M]
 //                     [--no-remote-shutdown] [--durability none|full]
 //                     [--admin ADDR] [--log-level LEVEL] [--slow-ms M]
 //   distapx_cli submit <path|host:port> <jobfile> [--summary F] [--runs F]
-//                     [--report F] [--connect-timeout-ms M] [--trace]
-//                     [--quiet]
+//                     [--report F] [--connect-timeout-ms M] [--quiet]
 //   distapx_cli submit <path|host:port> {--ping | --stats | --shutdown}
-//   distapx_cli loadgen <path|host:port> <jobfile> [--clients K]
-//                     [--repeat R] [--pipeline P] [--connect-timeout-ms M]
-//                     [--quiet]
 //   distapx_cli cache <dir> {stats | ls | verify [--quarantine|--delete] |
-//                     gc --budget SIZE | clear | prewarm | checkpoint}
+//                     gc --budget SIZE | clear}
 //
 // Algorithms: the registry in service/algorithms.cpp (names and paper
 // references); the usage text lists the names.
@@ -37,17 +33,13 @@
 //   --maxw W           random integer weights in [1, W] (default 100)
 //   --out FILE         write the solution (ids, one per line)
 #include <atomic>
-#include <chrono>
 #include <csignal>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/genspec.hpp"
@@ -66,7 +58,6 @@
 #include "support/metrics.hpp"
 #include "support/parse.hpp"
 #include "support/procstat.hpp"
-#include "support/stats.hpp"
 #include "support/trace.hpp"
 
 using namespace distapx;
@@ -489,7 +480,6 @@ int run_serve_socket(int argc, char** argv) {
   FlagSet flags("serve --listen", "serve --listen <path|host:port>");
   flags.str("--cache-dir", "DIR", &opts.cache_dir)
       .size("--cache-budget", "SIZE", &opts.cache_budget)
-      .str("--journal", "PATH", &opts.journal_path)
       .uint("--threads", "N", &opts.threads, 1u << 16)
       .uint("--lanes", "N", &opts.lanes, 1u << 10)
       .uint("--max-requests", "K", &opts.max_requests)
@@ -529,8 +519,6 @@ int run_serve_socket(int argc, char** argv) {
                {"lanes", std::to_string(sopts.lanes)},
                {"cache_dir",
                 sopts.cache_dir.empty() ? "(none)" : sopts.cache_dir},
-               {"journal",
-                sopts.journal_path.empty() ? "(none)" : sopts.journal_path},
                {"durability", durability.empty() ? "full" : durability}});
   g_socket_server.store(&*server);
   std::signal(SIGINT, handle_stop_signal);
@@ -557,16 +545,10 @@ int run_serve_socket(int argc, char** argv) {
             << "timeouts " << stats.timeouts << "\n"
             << "cache_hits " << stats.cache_hits << "\n"
             << "computed " << stats.computed << "\n"
-            << "jobs_dropped " << stats.jobs_dropped << "\n";
-  // Recent-window latency quantiles (last ~1-2 min of the run) next to
-  // the lifetime counters, from the same registry the admin page reads.
-  for (const auto& h : registry.snapshot().histograms) {
-    if (h.recent.count == 0) continue;
-    std::cout << h.name << " recent_p50=" << Table::fmt(h.recent.quantile(0.5), 3)
-              << " recent_p95=" << Table::fmt(h.recent.quantile(0.95), 3)
-              << " recent_p99=" << Table::fmt(h.recent.quantile(0.99), 3)
-              << "\n";
-  }
+            << "jobs_dropped " << stats.jobs_dropped << "\n"
+            << "jobs_materialized "
+            << registry.snapshot().counter_or("jobs_materialized_total")
+            << "\n";
   return 0;
 }
 
@@ -594,13 +576,11 @@ int run_submit(int argc, char** argv) {
   // appears" dance from every script that starts a server.
   std::uint32_t connect_timeout_ms = 5000;
   bool quiet = false;
-  bool want_trace = false;
   FlagSet flags("submit", "submit <path|host:port> <jobfile>");
   flags.str("--summary", "F", &summary_file)
       .str("--runs", "F", &runs_file)
       .str("--report", "F", &report_file)
       .uint("--connect-timeout-ms", "M", &connect_timeout_ms, 1u << 30)
-      .toggle("--trace", &want_trace)
       .toggle("--quiet", &quiet);
   flags.parse(arg_rest(argc, argv, 4));
 
@@ -630,16 +610,12 @@ int run_submit(int argc, char** argv) {
     if (!is) usage_error("cannot read job file " + job_arg);
     std::ostringstream job_text;
     job_text << is.rdbuf();
-    const auto outcome = want_trace ? client.submit_traced(job_text.str())
-                                    : client.submit(job_text.str());
+    const auto outcome = client.submit(job_text.str());
     if (!outcome.ok) {
       std::cerr << "error: " << job_arg << ": " << outcome.error << "\n";
       return 1;
     }
     if (!quiet) std::cout << outcome.result.report_txt;
-    // The server-side span tree (SUBMITTRACE echo) goes to stderr so
-    // redirecting stdout still captures exactly the report bytes.
-    if (want_trace) std::cerr << outcome.trace_txt;
     write_text_or_die(summary_file, outcome.result.summary_csv);
     write_text_or_die(runs_file, outcome.result.runs_csv);
     write_text_or_die(report_file, outcome.result.report_txt);
@@ -650,132 +626,6 @@ int run_submit(int argc, char** argv) {
   }
 }
 
-/// `distapx_cli loadgen <addr> <jobfile>`: K concurrent clients, R
-/// submissions each, over one server. `--pipeline P` keeps up to P
-/// SUBMITs in flight per connection (the server answers each connection
-/// in submit order). Reports throughput and latency and asserts every
-/// response carried bit-identical rows — the wire-level determinism
-/// check run under real client concurrency.
-int run_loadgen(int argc, char** argv) {
-  if (argc < 4) usage_error("loadgen needs an address and a job file");
-  const std::string addr = argv[2];
-  const std::string job_file = argv[3];
-  std::uint64_t clients = 4;
-  std::uint64_t repeat = 4;
-  std::uint64_t pipeline = 1;
-  std::uint32_t connect_timeout_ms = 5000;
-  bool quiet = false;
-  FlagSet flags("loadgen", "loadgen <path|host:port> <jobfile>");
-  flags.uint("--clients", "K", &clients, 4096, 1)
-      .uint("--repeat", "R", &repeat, 1u << 20, 1)
-      .uint("--pipeline", "P", &pipeline, 1u << 16, 1)
-      .uint("--connect-timeout-ms", "M", &connect_timeout_ms, 1u << 30)
-      .toggle("--quiet", &quiet);
-  flags.parse(arg_rest(argc, argv, 4));
-
-  std::ifstream is(job_file);
-  if (!is) usage_error("cannot read job file " + job_file);
-  std::ostringstream job_text_os;
-  job_text_os << is.rdbuf();
-  const std::string job_text = job_text_os.str();
-  net::Endpoint endpoint;
-  try {
-    endpoint = net::parse_endpoint(addr);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-
-  std::mutex mu;
-  std::vector<double> latencies_ms;  // guarded by mu
-  std::string reference_runs;        // guarded by mu; first response's rows
-  std::uint64_t errors = 0;          // guarded by mu
-  std::uint64_t mismatches = 0;      // guarded by mu
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (std::uint64_t c = 0; c < clients; ++c) {
-    workers.emplace_back([&] {
-      std::uint64_t finished = 0;
-      try {
-        net::Client client = net::Client::connect_retry(endpoint,
-                                                        connect_timeout_ms);
-        // Sliding pipeline window: keep up to `pipeline` SUBMITs in
-        // flight; each response is matched to the oldest outstanding
-        // send (per-connection FIFO), so latency covers queueing at the
-        // server — the number a real pipelined consumer experiences.
-        std::deque<std::chrono::steady_clock::time_point> sent_at;
-        std::uint64_t submitted = 0;
-        while (finished < repeat) {
-          while (submitted < repeat && submitted - finished < pipeline) {
-            client.send_submit(job_text);
-            sent_at.push_back(std::chrono::steady_clock::now());
-            ++submitted;
-          }
-          const auto outcome = client.recv_submit();
-          const double ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - sent_at.front())
-                  .count();
-          sent_at.pop_front();
-          ++finished;
-          std::lock_guard lock(mu);
-          if (!outcome.ok) {
-            ++errors;
-            continue;
-          }
-          latencies_ms.push_back(ms);
-          if (reference_runs.empty()) {
-            reference_runs = outcome.result.runs_csv;
-          } else if (outcome.result.runs_csv != reference_runs) {
-            ++mismatches;
-          }
-        }
-      } catch (const std::exception&) {
-        // The connection died; only the requests it never completed count
-        // (the ones above were already tallied as ok or error).
-        std::lock_guard lock(mu);
-        errors += repeat - finished;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  Summary lat;
-  for (const double ms : latencies_ms) lat.add(ms);
-  const std::uint64_t ok = latencies_ms.size();
-  if (!quiet) {
-    // percentile() requires a nonempty sample; when every request failed
-    // the latency columns have nothing to say.
-    const auto pct = [&](double q) {
-      return ok == 0 ? std::string("-")
-                     : Table::fmt(percentile(latencies_ms, q), 2);
-    };
-    Table t({"clients", "requests", "ok", "errors", "mismatches", "wall_s",
-             "req_per_s", "lat_mean_ms", "lat_p50_ms", "lat_p95_ms",
-             "lat_max_ms"});
-    t.add_row({Table::fmt(clients), Table::fmt(clients * repeat),
-               Table::fmt(ok), Table::fmt(errors), Table::fmt(mismatches),
-               Table::fmt(wall, 3),
-               Table::fmt(wall > 0 ? static_cast<double>(ok) / wall : 0.0, 1),
-               ok == 0 ? "-" : Table::fmt(lat.mean(), 2), pct(0.5), pct(0.95),
-               ok == 0 ? "-" : Table::fmt(lat.max(), 2)});
-    t.print(std::cout);
-    if (mismatches == 0 && ok > 0) {
-      std::cout << "all " << ok << " responses carried bit-identical rows\n";
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "error: " << mismatches
-              << " responses differed from the first response's rows\n";
-    return 1;
-  }
-  return errors == 0 ? 0 : 1;
-}
-
 /// `distapx_cli cache <dir> <command>`: inspect and repair a result-cache
 /// directory. Output is stable `key value` lines (stats/gc) or a table
 /// (ls), so CI and scripts can assert on it.
@@ -784,7 +634,7 @@ int run_cache(int argc, char** argv) {
     usage_error(
         "cache needs a directory and a command: "
         "stats | ls | verify [--quarantine|--delete] | gc --budget SIZE | "
-        "clear | prewarm | checkpoint");
+        "clear");
   }
   const std::string dir = argv[2];
   const std::string command = argv[3];
@@ -873,29 +723,6 @@ int run_cache(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "prewarm") {
-    if (argc > 4) usage_error("cache prewarm takes no flags");
-    // Journal-driven: validates (and page-caches) every entry the replay
-    // knows about, without a directory walk.
-    const auto report = manager->prewarm();
-    std::cout << "checked " << report.checked << "\n"
-              << "ok " << report.ok << "\n"
-              << "invalid " << report.invalid << "\n"
-              << "bytes " << report.bytes << "\n";
-    return report.invalid == 0 ? 0 : 1;
-  }
-
-  if (command == "checkpoint") {
-    if (argc > 4) usage_error("cache checkpoint takes no flags");
-    manager->checkpoint();
-    const auto* journal = manager->journal();
-    std::cout << "snapshot_records "
-              << (journal ? journal->snapshot_records() : 0) << "\n"
-              << "tail_records " << (journal ? journal->tail_records() : 0)
-              << "\n";
-    return 0;
-  }
-
   usage_error("unknown cache command " + command);
 }
 
@@ -905,6 +732,12 @@ int run_cache(int argc, char** argv) {
 /// then what only a single run reports: the algorithm-specific facts and,
 /// with --out, the solution.
 int run_single(int argc, char** argv) {
+  // Name the word before reading flags: a mistyped or retired subcommand
+  // followed by arguments is not a bad flag.
+  if (service::find_algorithm(argv[1]) == nullptr) {
+    usage_error("unknown algorithm or command \"" + std::string(argv[1]) +
+                "\"");
+  }
   service::JobSpec spec;
   spec.algorithm = argv[1];
   spec.gen_spec = "gnp:200:0.04";
@@ -977,7 +810,7 @@ int main(int argc, char** argv) {
            "[--max-files K] [--once] [--durability none|full] "
            "[--admin ADDR] [--log-level LEVEL]\n"
            "       distapx_cli serve --listen <path|host:port> "
-           "[--cache-dir DIR] [--cache-budget SIZE] [--journal PATH] "
+           "[--cache-dir DIR] [--cache-budget SIZE] "
            "[--threads N] [--lanes N] [--max-requests K] "
            "[--idle-timeout-ms M] [--max-frame SIZE] "
            "[--no-remote-shutdown] [--durability none|full] [--admin ADDR] "
@@ -987,12 +820,8 @@ int main(int argc, char** argv) {
            "[--connect-timeout-ms M] [--quiet]\n"
            "       distapx_cli submit <path|host:port> "
            "{--ping | --stats | --shutdown}\n"
-           "       distapx_cli loadgen <path|host:port> <jobfile> "
-           "[--clients K] [--repeat R] [--pipeline P] "
-           "[--connect-timeout-ms M] [--quiet]\n"
            "       distapx_cli cache <dir> {stats | ls [--limit N] | verify "
-           "[--quarantine|--delete] | gc --budget SIZE | clear | prewarm | "
-           "checkpoint}\n"
+           "[--quarantine|--delete] | gc --budget SIZE | clear}\n"
            "algorithms:";
     for (const service::Algorithm& a : service::algorithms()) {
       std::cout << " " << a.name;
@@ -1003,7 +832,6 @@ int main(int argc, char** argv) {
   if (std::string(argv[1]) == "batch") return run_batch(argc, argv);
   if (std::string(argv[1]) == "serve") return run_serve(argc, argv);
   if (std::string(argv[1]) == "submit") return run_submit(argc, argv);
-  if (std::string(argv[1]) == "loadgen") return run_loadgen(argc, argv);
   if (std::string(argv[1]) == "cache") return run_cache(argc, argv);
   return run_single(argc, argv);
 }
