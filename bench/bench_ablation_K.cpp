@@ -33,11 +33,12 @@ void sweep(std::uint32_t delta) {
       // Empirical drain: huge budget, nodes decide naturally.
       NmisParams free_run = theory;
       free_run.iterations = 100000;
-      const auto res = run_nmis(g, seed, free_run);
+      const auto res = run_nmis(g, bench::run_opts(seed), free_run);
       drain_rounds.add(res.metrics.rounds);
       is_size.add(static_cast<double>(res.independent_set.size()));
       // Leftovers under the theorem budget.
-      const auto capped = run_nmis(g, hash_combine(seed, 7), theory);
+      const auto capped = run_nmis(g, bench::run_opts(hash_combine(seed, 7)),
+                                   theory);
       undecided_frac.add(static_cast<double>(capped.undecided.size()) /
                          g.num_nodes());
     }

@@ -72,8 +72,8 @@ void layered_vs_flat() {
       LayeredMaxIsParams layered;
       LayeredMaxIsParams flat;
       flat.use_layers = false;
-      const auto a = run_layered_maxis(g, w, seed, layered);
-      const auto b = run_layered_maxis(g, w, seed, flat);
+      const auto a = run_layered_maxis(g, w, bench::run_opts(seed), layered);
+      const auto b = run_layered_maxis(g, w, bench::run_opts(seed), flat);
       lr.add(a.metrics.rounds);
       ur.add(b.metrics.rounds);
       lw.add(static_cast<double>(set_weight(w, a.independent_set)));

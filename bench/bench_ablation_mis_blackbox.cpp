@@ -50,7 +50,8 @@ void blackbox_sweep() {
                                                  1 << 10, wrng);
         LayeredMaxIsParams params;
         params.rule = rule;
-        const auto res = run_layered_maxis(wl.graph, w, seed, params);
+        const auto res = run_layered_maxis(wl.graph, w, bench::run_opts(seed),
+                                           params);
         rounds.add(res.metrics.rounds);
         weight.add(static_cast<double>(set_weight(w, res.independent_set)));
       }

@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "service/job_spec.hpp"
 #include "sim/run_many.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
@@ -16,6 +17,12 @@ namespace distapx::bench {
 
 /// Prints a section banner for one experiment.
 void banner(const std::string& experiment, const std::string& claim);
+
+/// The run contract of a job with default keys and run seed `seed`, for
+/// benches that call an algorithm's entry point directly.
+inline sim::RunOptions run_opts(std::uint64_t seed = 1) {
+  return service::JobSpec{}.run_options(seed);
+}
 
 /// Worker threads the benches use: DISTAPX_BENCH_THREADS when set,
 /// otherwise the hardware concurrency.

@@ -3,9 +3,12 @@
 // experiments are visible.
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
+#include "coloring/linial.hpp"
 #include "graph/algos.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/generators.hpp"
+#include "graph/genspec.hpp"
 #include "graph/line_graph.hpp"
 #include "matching/baselines.hpp"
 #include "matching/bipartite_paths.hpp"
@@ -65,10 +68,51 @@ void BM_LubyMis(benchmark::State& state) {
   const Graph g = gen::gnp(n, 8.0 / n, rng);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_luby_mis(g, ++seed));
+    benchmark::DoNotOptimize(run_luby_mis(g, bench::run_opts(++seed)));
   }
 }
 BENCHMARK(BM_LubyMis)->Arg(1024)->Arg(4096);
+
+/// A table1-cold program and its graph: luby on gnp:2500:0.003 (case 0) or
+/// maxis-alg3's Linial phase on regular:150:6 (case 1).
+struct LeaseCase {
+  Graph graph;
+  sim::ProgramFactory program;
+};
+
+LeaseCase lease_case(benchmark::State& state) {
+  Rng rng(1);
+  const bool luby = state.range(0) == 0;
+  state.SetLabel(luby ? "luby gnp:2500:0.003" : "linial regular:150:6");
+  Graph g = gen::from_spec(luby ? "gnp:2500:0.003" : "regular:150:6", rng);
+  auto program = luby ? make_luby_program(g) : make_linial_program(g);
+  return {std::move(g), std::move(program)};
+}
+
+/// What a worker's NetworkLease saves per run on a fresh graph: a Network
+/// built for the run (as the multi-phase adapters do) ...
+void BM_NetworkConstructRun(benchmark::State& state) {
+  const LeaseCase c = lease_case(state);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    sim::Network net(c.graph);
+    benchmark::DoNotOptimize(net.run(c.program, bench::run_opts(++seed)));
+  }
+}
+BENCHMARK(BM_NetworkConstructRun)->Arg(0)->Arg(1);
+
+/// ... against one kept Network rebound to the graph (as the leased IS
+/// programs do when a unit of a new job arrives).
+void BM_NetworkRebindRun(benchmark::State& state) {
+  const LeaseCase c = lease_case(state);
+  sim::Network net;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    net.rebind(c.graph);
+    benchmark::DoNotOptimize(net.run(c.program, bench::run_opts(++seed)));
+  }
+}
+BENCHMARK(BM_NetworkRebindRun)->Arg(0)->Arg(1);
 
 void BM_HopcroftKarp(benchmark::State& state) {
   Rng rng(5);
@@ -91,7 +135,8 @@ void BM_Mcm1Eps(benchmark::State& state) {
   params.epsilon = 0.5;
   for (auto _ : state) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      benchmark::DoNotOptimize(run_mcm_1eps_congest(g, seed, params));
+      benchmark::DoNotOptimize(run_mcm_1eps_congest(g, bench::run_opts(seed),
+                                                    params));
     }
   }
 }

@@ -71,13 +71,14 @@ void rounds_vs_w() {
             if (chain) {
               const auto inst = layer_chain(logw, 16, rng);
               return static_cast<double>(
-                  run_layered_maxis(inst.graph, inst.weights, seed)
+                  run_layered_maxis(inst.graph, inst.weights,
+                                    bench::run_opts(seed))
                       .metrics.rounds);
             }
             const Graph g = gen::random_regular(512, 4, rng);
             const auto w = gen::log_uniform_node_weights(512, W, rng);
             return static_cast<double>(
-                run_layered_maxis(g, w, seed).metrics.rounds);
+                run_layered_maxis(g, w, bench::run_opts(seed)).metrics.rounds);
           });
       xs.push_back(logw);
       ys.push_back(stats.mean());
@@ -106,7 +107,7 @@ void rounds_vs_n() {
       const Graph g = gen::gnp(n, 8.0 / n, rng);
       const auto w = gen::uniform_node_weights(n, 1 << 10, rng);
       return static_cast<double>(
-          run_layered_maxis(g, w, seed).metrics.rounds);
+          run_layered_maxis(g, w, bench::run_opts(seed)).metrics.rounds);
     });
     const int logn = ceil_log2(n);
     t.add_row({Table::fmt(std::uint64_t{n}),
@@ -144,7 +145,7 @@ void quality() {
               variant == 0
                   ? set_weight(w, exact_maxis(g, w).independent_set)
                   : set_weight(w, exact_maxis_forest(g, w).independent_set);
-          const auto alg = run_layered_maxis(g, w, seed);
+          const auto alg = run_layered_maxis(g, w, bench::run_opts(seed));
           const auto greedy = greedy_maxis(g, w);
           SeedStats s;
           s.r_alg = bench::ratio(

@@ -29,7 +29,8 @@ void rounds_vs_delta() {
       Rng rng(hash_combine(seed, d));
       const Graph g = gen::random_regular(2048, d, rng);
       const auto w = gen::uniform_node_weights(2048, 1000, rng);
-      return run_coloring_maxis(g, w, ColoringSource::kLinial, seed);
+      return run_coloring_maxis(g, w, ColoringSource::kLinial,
+                                bench::run_opts(seed));
     });
     for (const auto& res : runs) {
       coloring_rounds.add(res.coloring_metrics.rounds);
@@ -55,7 +56,8 @@ void rounds_vs_n() {
       Rng rng(hash_combine(seed, n));
       const Graph g = gen::random_regular(n, 4, rng);
       const auto w = gen::uniform_node_weights(n, 1000, rng);
-      return run_coloring_maxis(g, w, ColoringSource::kLinial, seed);
+      return run_coloring_maxis(g, w, ColoringSource::kLinial,
+                                bench::run_opts(seed));
     });
     for (const auto& res : runs) {
       coloring_rounds.add(res.coloring_metrics.rounds);
@@ -87,7 +89,8 @@ void quality() {
               ? set_weight(w, exact_maxis(g, w).independent_set)
               : set_weight(w, exact_maxis_forest(g, w).independent_set);
       const auto res =
-          run_coloring_maxis(g, w, ColoringSource::kLinial, seed);
+          run_coloring_maxis(g, w, ColoringSource::kLinial,
+                             bench::run_opts(seed));
       const double x = bench::ratio(
           static_cast<double>(opt),
           static_cast<double>(set_weight(w, res.independent_set)));
@@ -122,7 +125,7 @@ void det_mwm() {
                           ? gen::bipartite_gnp(30, 30, 0.1, rng)
                           : gen::gnp(18, 0.25, rng);
       const auto w = gen::uniform_edge_weights(g.num_edges(), 1000, rng);
-      const auto res = run_lr_matching_deterministic(g, w);
+      const auto res = run_lr_matching_deterministic(g, w, bench::run_opts());
       const Weight opt =
           variant == 0
               ? matching_weight(w, exact_mwm_bipartite(g, w).matching)

@@ -35,9 +35,12 @@ void rounds_vs_delta() {
       const Graph g = gen::random_regular(2048, d, rng);
       Nmm2EpsParams params;
       params.epsilon = 0.25;
-      const double nmm = run_nmm_2eps_matching(g, seed, params).super_rounds;
+      const double nmm =
+          run_nmm_2eps_matching(g, bench::run_opts(seed), params)
+              .super_rounds;
       const double lr =
-          run_lr_matching(g, gen::unit_edge_weights(g.num_edges()), seed)
+          run_lr_matching(g, gen::unit_edge_weights(g.num_edges()),
+                          bench::run_opts(seed))
               .metrics.rounds;
       return std::pair<double, double>{nmm, lr};
     });
@@ -71,7 +74,7 @@ void cardinality_quality() {
                           : gen::power_law(300, 2.5, 5.0, rng);
       Nmm2EpsParams params;
       params.epsilon = 0.25;
-      const auto res = run_nmm_2eps_matching(g, seed, params);
+      const auto res = run_nmm_2eps_matching(g, bench::run_opts(seed), params);
       const auto opt = blossom_mcm(g).matching.size();
       return bench::ratio(static_cast<double>(opt),
                           static_cast<double>(res.matching.size()));
@@ -102,8 +105,10 @@ void weighted_quality() {
           matching_weight(w, exact_mwm_bipartite(g, w).matching);
       Weighted2EpsParams params;
       params.epsilon = eps;
-      const auto stage1 = run_bucketed_o1_mwm(g, w, seed, params);
-      const auto full = run_weighted_2eps_matching(g, w, seed, params);
+      const auto stage1 = run_bucketed_o1_mwm(g, w, bench::run_opts(seed),
+                                              params);
+      const auto full = run_weighted_2eps_matching(g, w, bench::run_opts(seed),
+                                                   params);
       return std::pair<double, double>{
           bench::ratio(
               static_cast<double>(opt),
@@ -135,7 +140,8 @@ void run_many_throughput() {
   auto one_seed = [&](std::uint64_t seed, std::size_t) {
     Nmm2EpsParams params;
     params.epsilon = 0.25;
-    return run_nmm_2eps_matching(g, seed, params).matching.size();
+    return run_nmm_2eps_matching(g, bench::run_opts(seed), params)
+        .matching.size();
   };
   const auto seeds = bench::seed_sequence(kSeeds, 7);
   auto timed = [&](unsigned threads) {

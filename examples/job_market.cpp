@@ -34,7 +34,9 @@ int main() {
   std::cout << "exact optimum: " << opt.matching.size()
             << " assignments, value " << opt_value << "\n\n";
 
-  const auto lr = run_lr_matching(market, value, 1);
+  sim::RunOptions opts;  // seed 1, the job-file default bandwidth
+  opts.policy = sim::BandwidthPolicy::congest(32);
+  const auto lr = run_lr_matching(market, value, opts);
   std::cout << "[Thm 2.10, 2-approx] " << lr.matching.size()
             << " assignments, value " << matching_weight(value, lr.matching)
             << " (" << lr.metrics.rounds << " rounds, "
@@ -42,7 +44,7 @@ int main() {
 
   Weighted2EpsParams w2;
   w2.epsilon = 0.25;
-  const auto fast = run_weighted_2eps_matching(market, value, 1, w2);
+  const auto fast = run_weighted_2eps_matching(market, value, opts, w2);
   std::cout << "[App B.1, (2+ε)-approx] " << fast.matching.size()
             << " assignments, value "
             << matching_weight(value, fast.matching) << " ("
@@ -51,7 +53,7 @@ int main() {
   const auto parts = try_bipartition(market);
   ProposalParams pp;
   pp.epsilon = 0.2;
-  const auto prop = run_proposal_matching_bipartite(market, *parts, 1, pp);
+  const auto prop = run_proposal_matching_bipartite(market, *parts, opts, pp);
   std::cout << "[App B.4, proposals] " << prop.matching.size()
             << " assignments, value "
             << matching_weight(value, prop.matching) << " ("

@@ -27,8 +27,13 @@ int main() {
   std::cout << "graph: 6x6 grid, n=" << g.num_nodes()
             << " m=" << g.num_edges() << " Δ=" << g.max_degree() << "\n\n";
 
+  // Every run: seed 1, CONGEST messages of at most 32·max(8, ⌈log₂ n⌉)
+  // bits per edge per round (the job-file default), at most 2^20 rounds.
+  sim::RunOptions opts;
+  opts.policy = sim::BandwidthPolicy::congest(32);
+
   // 1. Δ-approximate maximum weight independent set (Algorithm 2).
-  const auto maxis = run_layered_maxis(g, node_w, /*seed=*/1);
+  const auto maxis = run_layered_maxis(g, node_w, opts);
   std::cout << "[Algorithm 2] MaxIS: " << maxis.independent_set.size()
             << " nodes, weight " << set_weight(node_w, maxis.independent_set)
             << "  (" << maxis.metrics.rounds << " CONGEST rounds, max "
@@ -40,7 +45,7 @@ int main() {
 
   // 2. 2-approximate maximum weight matching: Algorithm 2 on the line
   // graph through the congestion-free aggregation mechanism (Thm 2.10).
-  const auto mwm = run_lr_matching(g, edge_w, /*seed=*/1);
+  const auto mwm = run_lr_matching(g, edge_w, opts);
   std::cout << "[Thm 2.10] 2-approx MWM: " << mwm.matching.size()
             << " edges, weight " << matching_weight(edge_w, mwm.matching)
             << "  (" << mwm.metrics.rounds << " physical rounds, max "
@@ -52,7 +57,7 @@ int main() {
   // O(log Δ / log log Δ) rounds (Thm 3.2).
   Nmm2EpsParams fast;
   fast.epsilon = 0.25;
-  const auto mcm = run_nmm_2eps_matching(g, /*seed=*/1, fast);
+  const auto mcm = run_nmm_2eps_matching(g, opts, fast);
   std::cout << "[Thm 3.2] (2+ε) MCM: " << mcm.matching.size()
             << " edges in " << mcm.super_rounds << " super-rounds ("
             << mcm.metrics.rounds << " physical), "

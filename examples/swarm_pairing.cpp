@@ -49,15 +49,17 @@ int main() {
   std::cout << "exact maximum pairing (centralized blossom): "
             << opt.matching.size() << " pairs\n";
 
+  sim::RunOptions opts;  // seed 1, the job-file default bandwidth
+  opts.policy = sim::BandwidthPolicy::congest(32);
   Nmm2EpsParams coarse;
   coarse.epsilon = 0.25;
-  const auto nmm = run_nmm_2eps_matching(swarm, 1, coarse);
+  const auto nmm = run_nmm_2eps_matching(swarm, opts, coarse);
   std::cout << "[Thm 3.2, (2+ε)] " << nmm.matching.size() << " pairs in "
             << nmm.super_rounds << " super-rounds\n";
 
   McmCongestParams fine;
   fine.epsilon = 1.0 / 3.0;
-  const auto mcm = run_mcm_1eps_congest(swarm, 1, fine);
+  const auto mcm = run_mcm_1eps_congest(swarm, opts, fine);
   std::cout << "[Thm B.12, (1+ε)] " << mcm.matching.size() << " pairs over "
             << mcm.stages << " bipartition stages ("
             << mcm.deactivated.size() << " robots deactivated)\n\n";

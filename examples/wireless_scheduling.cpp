@@ -64,16 +64,19 @@ int main() {
     return t;
   }();
 
-  // Randomized Algorithm 2.
-  const auto alg2 = run_layered_maxis(conflicts, traffic, 1);
+  // Randomized Algorithm 2, seed 1, at the job-file default bandwidth.
+  sim::RunOptions opts;
+  opts.policy = sim::BandwidthPolicy::congest(32);
+  const auto alg2 = run_layered_maxis(conflicts, traffic, opts);
   std::cout << "[Algorithm 2] schedule " << alg2.independent_set.size()
             << " radios, utility " << set_weight(traffic, alg2.independent_set)
             << " / " << total_demand << " demand, "
             << alg2.metrics.rounds << " rounds\n";
 
   // Deterministic Algorithm 3 (randomized O(log n) coloring black box).
+  opts.seed = 2;
   const auto alg3 =
-      run_coloring_maxis(conflicts, traffic, ColoringSource::kRandomized, 2);
+      run_coloring_maxis(conflicts, traffic, ColoringSource::kRandomized, opts);
   std::cout << "[Algorithm 3] schedule " << alg3.independent_set.size()
             << " radios, utility " << set_weight(traffic, alg3.independent_set)
             << ", coloring " << alg3.coloring_metrics.rounds

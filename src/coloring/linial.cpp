@@ -178,22 +178,18 @@ LinialSchedule build_linial_schedule(NodeId n, std::uint32_t max_degree) {
   return schedule;
 }
 
-ColoringResult linial_coloring(const Graph& g, std::uint32_t max_rounds) {
+sim::ProgramFactory make_linial_program(const Graph& g) {
   const auto schedule = std::make_shared<LinialSchedule>(
       build_linial_schedule(g.num_nodes(), g.max_degree()));
-  sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = 0;  // deterministic algorithm; seed unused
-  opts.max_rounds = max_rounds;
-  // Colors start as raw ids (log n bits) and shrink; O(log n) per message.
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const std::uint32_t delta = g.max_degree();
-  const auto result = net.run(
-      [&schedule, delta](NodeId) {
-        return std::make_unique<LinialProgram>(schedule.get(), delta);
-      },
-      opts);
-  DISTAPX_ENSURE(result.metrics.completed);
+  return [schedule, delta](NodeId) {
+    return std::make_unique<LinialProgram>(schedule.get(), delta);
+  };
+}
+
+ColoringResult linial_coloring(const Graph& g, const sim::RunOptions& opts) {
+  // Colors start as raw ids (log n bits) and shrink; O(log n) per message.
+  const auto result = sim::Network(g).run(make_linial_program(g), opts);
   ColoringResult out;
   out.metrics = result.metrics;
   out.colors.resize(g.num_nodes());

@@ -39,8 +39,11 @@ LinialSchedule build_linial_schedule(NodeId n, std::uint32_t max_degree);
 /// Smallest prime >= x (trial division; x is polynomial in Δ here).
 std::uint64_t next_prime(std::uint64_t x);
 
-/// Runs the full deterministic coloring (stages 1+2) on g.
-ColoringResult linial_coloring(const Graph& g,
-                               std::uint32_t max_rounds = 1u << 20);
+/// Factory for the per-node program of both stages on g.
+sim::ProgramFactory make_linial_program(const Graph& g);
+
+/// Runs the full deterministic coloring (stages 1+2) on g; `opts.seed` is
+/// unused. A run cut by `opts.max_rounds` leaves nodes at color 0.
+ColoringResult linial_coloring(const Graph& g, const sim::RunOptions& opts);
 
 }  // namespace distapx

@@ -10,7 +10,8 @@
 
 namespace distapx {
 
-ColoringResult randomized_coloring(const Graph& g, std::uint64_t seed,
-                                   std::uint32_t max_rounds = 1u << 20);
+/// A run cut by `opts.max_rounds` leaves its uncolored nodes at color 0.
+ColoringResult randomized_coloring(const Graph& g,
+                                   const sim::RunOptions& opts);
 
 }  // namespace distapx

@@ -384,6 +384,7 @@ AugPathSearchResult find_and_flip_aug_paths_bipartite(
     // Iteration cap: deactivate whatever still carries paths so callers
     // retain the maximality-on-active-nodes invariant.
     t.run(g, parts, mate, d, usable, &alpha, /*strict=*/true, free_left);
+    result.drained = !t.any_path;  // the last iteration took every path
     std::sort(t.touched.begin(), t.touched.end());
     for (NodeId v : t.touched) {
       if (t.mass[v] > 0.0 && active[v]) {

@@ -79,7 +79,7 @@ struct AugPathSearchResult {
   /// the marking walk (messages carry O(log Δ/ε²)-bit numbers; the paper
   /// groups O(1/ε²) physical rounds per logical round accordingly).
   std::uint32_t rounds = 0;
-  bool drained = false;  ///< no length-d path among active nodes remains
+  bool drained = false;  ///< no length-d path among active nodes was left
 };
 
 /// Finds and flips a nearly-maximal set of vertex-disjoint length-d

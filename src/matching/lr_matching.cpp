@@ -167,15 +167,11 @@ void LayeredMaxIsAggProgram::round(sim::AggCtx& ctx) {
 }
 
 MaxIsResult run_layered_maxis_agg(const Graph& g, const NodeWeights& w,
-                                  std::uint64_t seed) {
+                                  const sim::RunOptions& opts) {
   const Weight max_w =
       w.empty() ? 1 : *std::max_element(w.begin(), w.end());
   LayeredMaxIsAggProgram prog(w, max_w, g.num_nodes());
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(64);
   const auto run = sim::run_on_nodes(g, prog, opts);
-  DISTAPX_ENSURE(run.metrics.completed);
   MaxIsResult out;
   out.metrics = run.metrics;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -185,16 +181,12 @@ MaxIsResult run_layered_maxis_agg(const Graph& g, const NodeWeights& w,
 }
 
 MatchingResult run_lr_matching(const Graph& g, const EdgeWeights& w,
-                               std::uint64_t seed) {
+                               const sim::RunOptions& opts) {
   DISTAPX_ENSURE(w.size() == g.num_edges());
   const Weight max_w =
       w.empty() ? 1 : *std::max_element(w.begin(), w.end());
   LayeredMaxIsAggProgram prog(w, max_w, g.num_edges());
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(64);
   const auto run = sim::run_on_line_graph(g, prog, opts);
-  DISTAPX_ENSURE(run.metrics.completed);
   MatchingResult out;
   out.metrics = run.metrics;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

@@ -49,12 +49,12 @@ class LayeredMaxIsAggProgram final : public sim::AggProgram {
 /// MaxIS via the aggregation form of Algorithm 2, agents = nodes of g
 /// (reference for tests; equivalent guarantees to run_layered_maxis).
 MaxIsResult run_layered_maxis_agg(const Graph& g, const NodeWeights& w,
-                                  std::uint64_t seed);
+                                  const sim::RunOptions& opts);
 
 /// Theorem 2.10: 2-approximate MWM, running the program on L(g) through
 /// the congestion-free mechanism. Also usable with unit weights as a
 /// 2-approximate maximum cardinality matching.
 MatchingResult run_lr_matching(const Graph& g, const EdgeWeights& w,
-                               std::uint64_t seed);
+                               const sim::RunOptions& opts);
 
 }  // namespace distapx

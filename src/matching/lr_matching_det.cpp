@@ -122,7 +122,8 @@ void ColoringMaxIsAggProgram::round(sim::AggCtx& ctx) {
 }
 
 MaxIsResult run_coloring_maxis_agg(const Graph& g, const NodeWeights& w,
-                                   const std::vector<Color>& colors) {
+                                   const std::vector<Color>& colors,
+                                   const sim::RunOptions& opts) {
   DISTAPX_ENSURE(w.size() == g.num_nodes());
   DISTAPX_ENSURE_MSG(is_proper_coloring(g, colors),
                      "Algorithm 3 requires a proper coloring");
@@ -132,10 +133,7 @@ MaxIsResult run_coloring_maxis_agg(const Graph& g, const NodeWeights& w,
   Color num_colors = 0;
   for (Color c : colors) num_colors = std::max(num_colors, c + 1);
   ColoringMaxIsAggProgram prog(w, colors, max_w, num_colors);
-  sim::RunOptions opts;
-  opts.policy = sim::BandwidthPolicy::congest(64);
   const auto run = sim::run_on_nodes(g, prog, opts);
-  DISTAPX_ENSURE(run.metrics.completed);
   MaxIsResult out;
   out.metrics = run.metrics;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -144,28 +142,30 @@ MaxIsResult run_coloring_maxis_agg(const Graph& g, const NodeWeights& w,
   return out;
 }
 
-DetLrMatchingResult run_lr_matching_deterministic(const Graph& g,
-                                                  const EdgeWeights& w) {
+DetLrMatchingResult run_lr_matching_deterministic(
+    const Graph& g, const EdgeWeights& w, const sim::RunOptions& opts) {
   DISTAPX_ENSURE(w.size() == g.num_edges());
   DetLrMatchingResult out;
-  if (g.num_edges() == 0) return out;
+  if (g.num_edges() == 0) {
+    out.coloring_metrics.completed = out.matching_metrics.completed = true;
+    return out;
+  }
 
   // Coloring black box: a proper coloring of L(G) (= proper edge coloring
   // of G) via the deterministic Linial substrate on the explicit line
   // graph. Simulating it on G costs a constant factor per round ([Kuh05]);
   // we report its metrics separately like Algorithm 3 charges [BEK14].
   const LineGraph lg(g);
-  const auto coloring = linial_coloring(lg.graph());
+  const auto coloring = linial_coloring(lg.graph(), opts);
   out.coloring_metrics = coloring.metrics;
   out.num_colors = coloring.num_colors;
+  if (!coloring.metrics.completed) return out;
 
   const Weight max_w = *std::max_element(w.begin(), w.end());
   ColoringMaxIsAggProgram prog(w, coloring.colors, max_w,
                                coloring.num_colors);
-  sim::RunOptions opts;
-  opts.policy = sim::BandwidthPolicy::congest(64);
-  const auto run = sim::run_on_line_graph(g, prog, opts);
-  DISTAPX_ENSURE(run.metrics.completed);
+  const auto run = sim::run_on_line_graph(
+      g, prog, sim::sub_run(opts, opts.seed, coloring.metrics));
   out.matching_metrics = run.metrics;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (run.outputs[e] == kOutInIs) out.matching.push_back(e);

@@ -46,7 +46,8 @@ class ColoringMaxIsAggProgram final : public sim::AggProgram {
 /// Deterministic Δ-approx MaxIS via the aggregation form of Algorithm 3,
 /// agents = nodes of g (testing reference; pass a proper coloring).
 MaxIsResult run_coloring_maxis_agg(const Graph& g, const NodeWeights& w,
-                                   const std::vector<Color>& colors);
+                                   const std::vector<Color>& colors,
+                                   const sim::RunOptions& opts);
 
 struct DetLrMatchingResult {
   std::vector<EdgeId> matching;
@@ -55,8 +56,10 @@ struct DetLrMatchingResult {
   Color num_colors = 0;
 };
 
-/// Theorem 2.10 (deterministic): 2-approximate MWM on g.
-DetLrMatchingResult run_lr_matching_deterministic(const Graph& g,
-                                                  const EdgeWeights& w);
+/// Theorem 2.10 (deterministic): 2-approximate MWM on g. Both phases are
+/// deterministic; the sweeps get the rounds the coloring left, and a
+/// coloring cut by `opts.max_rounds` ends the run there.
+DetLrMatchingResult run_lr_matching_deterministic(
+    const Graph& g, const EdgeWeights& w, const sim::RunOptions& opts);
 
 }  // namespace distapx

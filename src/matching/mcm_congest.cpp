@@ -8,7 +8,8 @@
 
 namespace distapx {
 
-McmCongestResult run_mcm_1eps_congest(const Graph& g, std::uint64_t seed,
+McmCongestResult run_mcm_1eps_congest(const Graph& g,
+                                      const sim::RunOptions& opts,
                                       McmCongestParams params) {
   DISTAPX_ENSURE(params.epsilon > 0);
   const auto inv_eps =
@@ -22,11 +23,14 @@ McmCongestResult run_mcm_1eps_congest(const Graph& g, std::uint64_t seed,
   const NodeId n = g.num_nodes();
   std::vector<NodeId> mate(n, kInvalidNode);
   std::vector<bool> active(n, true);
-  Rng rng(seed);
+  Rng rng(opts.seed);
 
   McmCongestResult result;
   result.stages = stages;
-  for (std::uint32_t stage = 0; stage < stages; ++stage) {
+  for (std::uint32_t stage = 0; stage < stages && result.completed;
+       ++stage) {
+    result.completed = result.rounds < opts.max_rounds;  // charge 1 fits
+    if (!result.completed) break;
     // Random red/blue coloring; matched pairs survive only when their
     // matching edge is bi-chromatic, unmatched nodes always survive.
     Bipartition parts = random_bipartition(n, rng);
@@ -53,13 +57,19 @@ McmCongestResult run_mcm_1eps_congest(const Graph& g, std::uint64_t seed,
     }
     const auto sub = edge_subgraph(g, edge_mask);
 
-    for (std::uint32_t d = 1; d <= d_max; d += 2) {
+    for (std::uint32_t d = 1; d <= d_max && result.completed; d += 2) {
       AugPathSearchParams search = params.search;
       search.d = d;
       search.epsilon = params.epsilon;
+      // Only the iterations whose 6d+4 charge fits the budget may run.
+      const std::uint32_t affordable =
+          (opts.max_rounds - result.rounds) / (6 * d + 4);
+      search.max_iterations = std::min(search.max_iterations, affordable);
       auto res = find_and_flip_aug_paths_bipartite(sub.graph, parts, mate,
                                                    sub_active, search, rng);
       result.rounds += res.rounds;
+      result.completed = res.drained ||
+                         search.max_iterations == params.search.max_iterations;
       for (NodeId v : res.deactivated) {
         if (active[v]) {
           active[v] = false;

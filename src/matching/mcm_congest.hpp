@@ -30,9 +30,13 @@ struct McmCongestResult {
   std::vector<NodeId> deactivated;
   std::uint32_t stages = 0;
   std::uint32_t rounds = 0;  ///< summed over all stages and path lengths
+  bool completed = true;  ///< false iff `opts.max_rounds` cut the run
 };
 
-McmCongestResult run_mcm_1eps_congest(const Graph& g, std::uint64_t seed,
+/// Rounds are charged by formula (1 per stage, 6d+4 per B.3 iteration)
+/// and no message is sent, so `opts.policy` does not apply.
+McmCongestResult run_mcm_1eps_congest(const Graph& g,
+                                      const sim::RunOptions& opts,
                                       McmCongestParams params = {});
 
 }  // namespace distapx

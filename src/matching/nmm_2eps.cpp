@@ -28,7 +28,8 @@ NmisParams nmm_params_for(double epsilon, std::uint32_t line_max_degree,
   return p;
 }
 
-Nmm2EpsResult run_nmm_2eps_matching(const Graph& g, std::uint64_t seed,
+Nmm2EpsResult run_nmm_2eps_matching(const Graph& g,
+                                    const sim::RunOptions& opts,
                                     Nmm2EpsParams params) {
   std::uint32_t line_delta = 1;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -37,7 +38,7 @@ Nmm2EpsResult run_nmm_2eps_matching(const Graph& g, std::uint64_t seed,
   }
   const NmisParams nmis =
       nmm_params_for(params.epsilon, line_delta, params.K);
-  const auto nm = run_nearly_maximal_matching(g, seed, nmis);
+  const auto nm = run_nearly_maximal_matching(g, opts, nmis);
   Nmm2EpsResult out;
   out.matching = nm.matching;
   out.undecided_edges = nm.undecided;

@@ -30,7 +30,8 @@ struct Nmm2EpsResult {
 NmisParams nmm_params_for(double epsilon, std::uint32_t line_max_degree,
                           std::uint32_t K_override = 0);
 
-Nmm2EpsResult run_nmm_2eps_matching(const Graph& g, std::uint64_t seed,
+Nmm2EpsResult run_nmm_2eps_matching(const Graph& g,
+                                    const sim::RunOptions& opts,
                                     Nmm2EpsParams params = {});
 
 }  // namespace distapx

@@ -131,7 +131,7 @@ std::uint32_t proposal_iteration_budget(std::uint32_t max_degree,
 
 ProposalResult run_proposal_matching_bipartite(const Graph& g,
                                                const Bipartition& parts,
-                                               std::uint64_t seed,
+                                               const sim::RunOptions& opts,
                                                ProposalParams params) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [u, v] = g.endpoints(e);
@@ -140,21 +140,19 @@ ProposalResult run_proposal_matching_bipartite(const Graph& g,
   }
   const std::uint32_t iters =
       proposal_iteration_budget(g.max_degree(), params);
+  sim::RunOptions capped = opts;
+  capped.max_rounds = std::min(opts.max_rounds, 2 * iters + 4);
   sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(32);
-  opts.max_rounds = 2 * iters + 4;
   const auto run = net.run(
       [&parts, iters](NodeId v) {
         return std::make_unique<ProposalProgram>(parts.is_left(v), iters);
       },
-      opts);
-  DISTAPX_ENSURE(run.metrics.completed);
+      capped);
 
   ProposalResult out;
   out.metrics = run.metrics;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!run.halted[v]) continue;
     const std::int64_t o = run.outputs[v];
     if (o >= 0 && parts.is_left(v)) {
       out.matching.push_back(static_cast<EdgeId>(o));
@@ -166,16 +164,17 @@ ProposalResult run_proposal_matching_bipartite(const Graph& g,
   return out;
 }
 
-ProposalResult run_proposal_matching(const Graph& g, std::uint64_t seed,
+ProposalResult run_proposal_matching(const Graph& g,
+                                     const sim::RunOptions& opts,
                                      ProposalParams params) {
   const auto reps = static_cast<std::uint32_t>(
       std::ceil(std::log2(1.0 / std::min(params.epsilon, 0.5)))) + 2;
-  Rng rng(seed);
+  Rng rng(opts.seed);
   std::vector<bool> matched(g.num_nodes(), false);
 
   ProposalResult out;
   out.metrics.completed = true;
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+  for (std::uint32_t rep = 0; rep < reps && out.metrics.completed; ++rep) {
     // Random left/right split of the unmatched remainder; keep the
     // bi-chromatic edges (Lemma B.14).
     const Bipartition parts = random_bipartition(g.num_nodes(), rng);
@@ -196,7 +195,8 @@ ProposalResult run_proposal_matching(const Graph& g, std::uint64_t seed,
     if (bi.graph.num_edges() == 0) continue;
     Bipartition bi_parts = sub_parts;  // same node ids as sub.graph
     const auto res = run_proposal_matching_bipartite(
-        bi.graph, bi_parts, rng.next(), params);
+        bi.graph, bi_parts, sim::sub_run(opts, rng.next(), out.metrics),
+        params);
     sim::accumulate(out.metrics, res.metrics);
     for (EdgeId be : res.matching) {
       const EdgeId se = bi.original_edge[be];

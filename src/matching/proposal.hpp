@@ -41,14 +41,17 @@ std::uint32_t proposal_iteration_budget(std::uint32_t max_degree,
                                         const ProposalParams& params);
 
 /// Bipartite proposal matching (Lemma B.13); g must be bipartite w.r.t.
-/// `parts`.
+/// `parts`. The run stops at the 2·iterations+4 rounds the program needs or
+/// at `opts.max_rounds`, whichever is smaller.
 ProposalResult run_proposal_matching_bipartite(const Graph& g,
                                                const Bipartition& parts,
-                                               std::uint64_t seed,
+                                               const sim::RunOptions& opts,
                                                ProposalParams params = {});
 
-/// General-graph wrapper (Lemma B.14): O(log 1/ε) random bipartitions.
-ProposalResult run_proposal_matching(const Graph& g, std::uint64_t seed,
+/// General-graph wrapper (Lemma B.14): O(log 1/ε) random bipartitions,
+/// each on the rounds the earlier ones left; a cut one ends the run.
+ProposalResult run_proposal_matching(const Graph& g,
+                                     const sim::RunOptions& opts,
                                      ProposalParams params = {});
 
 }  // namespace distapx

@@ -21,8 +21,9 @@ struct BucketKey {
 /// Stage-1 engine shared by the public entry points.
 class BucketedMwm {
  public:
-  BucketedMwm(const Graph& g, const Weighted2EpsParams& params)
-      : g_(&g), params_(params) {}
+  BucketedMwm(const Graph& g, const Weighted2EpsParams& params,
+              const sim::RunOptions& opts)
+      : g_(&g), params_(params), opts_(&opts) {}
 
   /// Runs the [LPSR09] bucketing on weights `w`; returns a matching that is
   /// an O(1)-approximation of MWM w.r.t. `w`. Ignores edges with w <= 0.
@@ -62,9 +63,11 @@ class BucketedMwm {
       big_node_taken.emplace_back(g_->num_nodes(), false);
       per_big_chosen.emplace_back();
     }
-    for (std::int32_t j = small_per_big - 1; j >= 0; --j) {
+    for (std::int32_t j = small_per_big - 1; j >= 0 && metrics.completed;
+         --j) {
       std::uint32_t sweep_rounds = 0;
-      for (std::size_t b = 0; b < big_list.size(); ++b) {
+      for (std::size_t b = 0; b < big_list.size() && metrics.completed;
+           ++b) {
         const auto& edges = (*big_list[b])[static_cast<std::size_t>(j)];
         if (edges.empty()) continue;
         // Surviving edges of this small bucket: endpoints untouched within
@@ -82,8 +85,8 @@ class BucketedMwm {
         const auto sub = edge_subgraph(*g_, mask);
         Nmm2EpsParams nmm;
         nmm.epsilon = params_.epsilon;
-        const auto found =
-            run_nmm_2eps_matching(sub.graph, seeder.next(), nmm);
+        const auto found = run_nmm_2eps_matching(
+            sub.graph, sim::sub_run(*opts_, seeder.next(), metrics), nmm);
         sim::accumulate(metrics, found.metrics);
         sweep_rounds = std::max(sweep_rounds, found.metrics.rounds);
         for (EdgeId se : found.matching) {
@@ -131,35 +134,36 @@ class BucketedMwm {
  private:
   const Graph* g_;
   Weighted2EpsParams params_;
+  const sim::RunOptions* opts_;
 };
 
 }  // namespace
 
 Weighted2EpsResult run_bucketed_o1_mwm(const Graph& g, const EdgeWeights& w,
-                                       std::uint64_t seed,
+                                       const sim::RunOptions& opts,
                                        const Weighted2EpsParams& params) {
   DISTAPX_ENSURE(w.size() == g.num_edges());
   Weighted2EpsResult out;
   out.metrics.completed = true;
-  BucketedMwm engine(g, params);
-  out.matching = engine.run(w, seed, out.metrics, out.rounds_parallel);
+  BucketedMwm engine(g, params, opts);
+  out.matching = engine.run(w, opts.seed, out.metrics, out.rounds_parallel);
   DISTAPX_ENSURE(is_matching(g, out.matching));
   return out;
 }
 
 Weighted2EpsResult run_weighted_2eps_matching(
-    const Graph& g, const EdgeWeights& w, std::uint64_t seed,
+    const Graph& g, const EdgeWeights& w, const sim::RunOptions& opts,
     const Weighted2EpsParams& params) {
   DISTAPX_ENSURE(w.size() == g.num_edges());
   Weighted2EpsResult out;
   out.metrics.completed = true;
-  BucketedMwm engine(g, params);
-  Rng seeder(hash_combine(seed, 0x2eb5));
+  BucketedMwm engine(g, params, opts);
+  Rng seeder(hash_combine(opts.seed, 0x2eb5));
 
-  // Stage 1 uses `seed` directly so it matches a standalone
+  // Stage 1 uses `opts.seed` directly so it matches a standalone
   // run_bucketed_o1_mwm call, and every refinement iteration can only add
   // positive auxiliary gain — the full run dominates stage 1.
-  std::vector<EdgeId> m = engine.run(w, seed, out.metrics,
+  std::vector<EdgeId> m = engine.run(w, opts.seed, out.metrics,
                                      out.rounds_parallel);
 
   const std::uint32_t iters =
@@ -168,7 +172,7 @@ Weighted2EpsResult run_weighted_2eps_matching(
           : static_cast<std::uint32_t>(std::ceil(2.0 / params.epsilon)) + 2;
 
   std::vector<EdgeId> matched_at(g.num_nodes(), kInvalidEdge);
-  for (std::uint32_t it = 0; it < iters; ++it) {
+  for (std::uint32_t it = 0; it < iters && out.metrics.completed; ++it) {
     std::fill(matched_at.begin(), matched_at.end(), kInvalidEdge);
     for (EdgeId e : m) {
       const auto [u, v] = g.endpoints(e);

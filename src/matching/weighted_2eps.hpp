@@ -37,12 +37,14 @@ struct Weighted2EpsResult {
 
 /// Stage 1 only: the O(1)-approximation.
 Weighted2EpsResult run_bucketed_o1_mwm(const Graph& g, const EdgeWeights& w,
-                                       std::uint64_t seed,
+                                       const sim::RunOptions& opts,
                                        const Weighted2EpsParams& params = {});
 
-/// Full algorithm: stages 1 + 2, the (2+ε)-approximation.
+/// Full algorithm: stages 1 + 2, the (2+ε)-approximation. Every sub-run
+/// gets the rounds (counted as `metrics.rounds`) the earlier ones left; a
+/// cut sub-run ends the run with the matching found so far.
 Weighted2EpsResult run_weighted_2eps_matching(
-    const Graph& g, const EdgeWeights& w, std::uint64_t seed,
+    const Graph& g, const EdgeWeights& w, const sim::RunOptions& opts,
     const Weighted2EpsParams& params = {});
 
 }  // namespace distapx

@@ -75,7 +75,7 @@ void fill_is(const sim::RunResult& run, std::vector<NodeId>& out) {
 ColoringMaxIsResult run_coloring_maxis_with(const Graph& g,
                                             const NodeWeights& w,
                                             const std::vector<Color>& colors,
-                                            std::uint32_t max_rounds) {
+                                            const sim::RunOptions& opts) {
   DISTAPX_ENSURE(w.size() == g.num_nodes());
   DISTAPX_ENSURE_MSG(is_proper_coloring(g, colors),
                      "Algorithm 3 requires a proper coloring");
@@ -88,18 +88,12 @@ ColoringMaxIsResult run_coloring_maxis_with(const Graph& g,
   const int reduce_bits = bits_for_value(static_cast<std::uint64_t>(max_w));
 
   sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = 1;  // Algorithm 3 proper is deterministic
-  opts.max_rounds = max_rounds;
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const auto run = net.run(
       [&](NodeId v) {
         return std::make_unique<ColoringMaxIsProgram>(
             w[v], colors[v], color_bits, reduce_bits);
       },
       opts);
-  DISTAPX_ENSURE_MSG(run.metrics.completed,
-                     "coloring MaxIS hit the round cap");
 
   ColoringMaxIsResult out;
   out.maxis_metrics = run.metrics;
@@ -110,13 +104,16 @@ ColoringMaxIsResult run_coloring_maxis_with(const Graph& g,
 
 ColoringMaxIsResult run_coloring_maxis(const Graph& g, const NodeWeights& w,
                                        ColoringSource source,
-                                       std::uint64_t seed,
-                                       std::uint32_t max_rounds) {
-  ColoringResult coloring =
-      source == ColoringSource::kLinial
-          ? linial_coloring(g, max_rounds)
-          : randomized_coloring(g, seed, max_rounds);
-  auto out = run_coloring_maxis_with(g, w, coloring.colors, max_rounds);
+                                       const sim::RunOptions& opts) {
+  ColoringResult coloring = source == ColoringSource::kLinial
+                                ? linial_coloring(g, opts)
+                                : randomized_coloring(g, opts);
+  ColoringMaxIsResult out;
+  if (coloring.metrics.completed) {
+    out = run_coloring_maxis_with(
+        g, w, coloring.colors,
+        sim::sub_run(opts, opts.seed, coloring.metrics));
+  }
   out.coloring_metrics = coloring.metrics;
   return out;
 }

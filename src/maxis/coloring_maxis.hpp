@@ -34,15 +34,15 @@ struct ColoringMaxIsResult {
 };
 
 /// Runs Algorithm 3 on a precomputed proper coloring (phase metrics only
-/// cover the MaxIS part).
+/// cover the MaxIS part). Algorithm 3 proper is deterministic.
 ColoringMaxIsResult run_coloring_maxis_with(
     const Graph& g, const NodeWeights& w, const std::vector<Color>& colors,
-    std::uint32_t max_rounds = 1u << 20);
+    const sim::RunOptions& opts);
 
-/// Full pipeline: coloring black box, then Algorithm 3.
+/// Full pipeline: coloring black box, then Algorithm 3 on the rounds the
+/// coloring left. A coloring cut by `opts.max_rounds` ends the run there.
 ColoringMaxIsResult run_coloring_maxis(const Graph& g, const NodeWeights& w,
                                        ColoringSource source,
-                                       std::uint64_t seed = 1,
-                                       std::uint32_t max_rounds = 1u << 20);
+                                       const sim::RunOptions& opts);
 
 }  // namespace distapx

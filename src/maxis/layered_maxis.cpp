@@ -170,19 +170,13 @@ sim::ProgramFactory make_layered_maxis_program(const Graph& g,
 }
 
 MaxIsResult run_layered_maxis(const Graph& g, const NodeWeights& w,
-                              std::uint64_t seed, LayeredMaxIsParams params,
-                              std::uint32_t max_rounds) {
+                              const sim::RunOptions& opts,
+                              LayeredMaxIsParams params) {
   const Weight max_w =
       w.empty() ? 1 : *std::max_element(w.begin(), w.end());
   sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.max_rounds = max_rounds;
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const auto result =
       net.run(make_layered_maxis_program(g, w, max_w, params), opts);
-  DISTAPX_ENSURE_MSG(result.metrics.completed,
-                     "layered MaxIS hit the round cap");
   MaxIsResult out;
   out.metrics = result.metrics;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

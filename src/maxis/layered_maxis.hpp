@@ -47,10 +47,9 @@ sim::ProgramFactory make_layered_maxis_program(const Graph& g,
                                                Weight max_weight,
                                                LayeredMaxIsParams params = {});
 
-/// Convenience runner under CONGEST.
+/// Convenience runner under `opts`.
 MaxIsResult run_layered_maxis(const Graph& g, const NodeWeights& w,
-                              std::uint64_t seed,
-                              LayeredMaxIsParams params = {},
-                              std::uint32_t max_rounds = 1u << 20);
+                              const sim::RunOptions& opts,
+                              LayeredMaxIsParams params = {});
 
 }  // namespace distapx

@@ -171,36 +171,31 @@ sim::ProgramFactory make_nmis_program(const Graph& g, NmisParams params) {
   };
 }
 
-IsResult run_nmis(const Graph& g, std::uint64_t seed, NmisParams params) {
+IsResult run_nmis(const Graph& g, const sim::RunOptions& opts,
+                  NmisParams params) {
   sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const auto result = net.run(make_nmis_program(g, params), opts);
-  DISTAPX_ENSURE(result.metrics.completed);
   return collect_is(result.outputs, result.metrics);
 }
 
-IsResult run_nmis_then_luby(const Graph& g, std::uint64_t seed,
+IsResult run_nmis_then_luby(const Graph& g, const sim::RunOptions& opts,
                             NmisParams params) {
-  IsResult first = run_nmis(g, seed, params);
-  if (first.undecided.empty()) return first;
+  IsResult first = run_nmis(g, opts, params);
+  if (first.undecided.empty() || !first.metrics.completed) return first;
 
   // Undecided nodes have no neighbor in the IS (joins are processed before
   // the budget check), so an MIS of their induced subgraph completes the IS.
   std::vector<bool> keep(g.num_nodes(), false);
   for (NodeId v : first.undecided) keep[v] = true;
   const auto sub = induced_subgraph(g, keep);
-  IsResult finish = run_luby_mis(sub.graph, hash_combine(seed, 0x10b5));
+  IsResult finish = run_luby_mis(
+      sub.graph,
+      sim::sub_run(opts, hash_combine(opts.seed, 0x10b5), first.metrics));
   for (NodeId v : finish.independent_set) {
     first.independent_set.push_back(sub.original_id[v]);
   }
   first.undecided.clear();
-  first.metrics.rounds += finish.metrics.rounds;
-  first.metrics.messages += finish.metrics.messages;
-  first.metrics.total_bits += finish.metrics.total_bits;
-  first.metrics.max_edge_bits =
-      std::max(first.metrics.max_edge_bits, finish.metrics.max_edge_bits);
+  sim::accumulate(first.metrics, finish.metrics);
   return first;
 }
 

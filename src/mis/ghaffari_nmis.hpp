@@ -46,11 +46,12 @@ std::uint32_t nmis_iteration_budget(std::uint32_t max_degree,
 sim::ProgramFactory make_nmis_program(const Graph& g, NmisParams params);
 
 /// Runs NMIS on g. The result may have `undecided` nodes.
-IsResult run_nmis(const Graph& g, std::uint64_t seed, NmisParams params = {});
+IsResult run_nmis(const Graph& g, const sim::RunOptions& opts,
+                  NmisParams params = {});
 
 /// NMIS followed by Luby on the undecided remainder: a true MIS whose
-/// metrics are the sum of both phases.
-IsResult run_nmis_then_luby(const Graph& g, std::uint64_t seed,
+/// metrics are the sum of both phases. Luby gets the rounds NMIS left.
+IsResult run_nmis_then_luby(const Graph& g, const sim::RunOptions& opts,
                             NmisParams params = {});
 
 }  // namespace distapx

@@ -104,14 +104,9 @@ sim::ProgramFactory make_luby_program(const Graph& g) {
   };
 }
 
-IsResult run_luby_mis(const Graph& g, std::uint64_t seed,
-                      std::uint32_t max_rounds) {
+IsResult run_luby_mis(const Graph& g, const sim::RunOptions& opts) {
   sim::Network net(g);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.max_rounds = max_rounds;
   const auto result = net.run(make_luby_program(g), opts);
-  DISTAPX_ENSURE_MSG(result.metrics.completed, "Luby MIS hit the round cap");
   return collect_is(result.outputs, result.metrics);
 }
 

@@ -20,8 +20,7 @@ namespace distapx {
 /// Factory for the per-node Luby program on an n-node network.
 sim::ProgramFactory make_luby_program(const Graph& g);
 
-/// Convenience runner: Luby MIS on g under CONGEST.
-IsResult run_luby_mis(const Graph& g, std::uint64_t seed,
-                      std::uint32_t max_rounds = 1u << 20);
+/// Convenience runner: Luby MIS on g under `opts`.
+IsResult run_luby_mis(const Graph& g, const sim::RunOptions& opts);
 
 }  // namespace distapx

@@ -113,19 +113,15 @@ void NmisAggProgram::round(sim::AggCtx& ctx) {
                -static_cast<double>(st[kExponent]))));
 }
 
-IsResult run_nmis_agg_on_nodes(const Graph& g, std::uint64_t seed,
+IsResult run_nmis_agg_on_nodes(const Graph& g, const sim::RunOptions& opts,
                                NmisParams params) {
   NmisAggProgram prog(g.max_degree(), params);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const auto result = sim::run_on_nodes(g, prog, opts);
-  DISTAPX_ENSURE(result.metrics.completed);
   return collect_is(result.outputs, result.metrics);
 }
 
 NmMatchingResult run_nearly_maximal_matching(const Graph& g,
-                                             std::uint64_t seed,
+                                             const sim::RunOptions& opts,
                                              NmisParams params) {
   // Line-graph max degree: an edge {u,v} has deg(u)+deg(v)-2 line-neighbors.
   std::uint32_t line_delta = 0;
@@ -134,11 +130,7 @@ NmMatchingResult run_nearly_maximal_matching(const Graph& g,
     line_delta = std::max(line_delta, g.degree(u) + g.degree(v) - 2);
   }
   NmisAggProgram prog(std::max<std::uint32_t>(line_delta, 1), params);
-  sim::RunOptions opts;
-  opts.seed = seed;
-  opts.policy = sim::BandwidthPolicy::congest(32);
   const auto result = sim::run_on_line_graph(g, prog, opts);
-  DISTAPX_ENSURE(result.metrics.completed);
   NmMatchingResult out;
   out.metrics = result.metrics;
   out.super_rounds = result.super_rounds;

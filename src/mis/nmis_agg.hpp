@@ -38,7 +38,7 @@ class NmisAggProgram final : public sim::AggProgram {
 };
 
 /// NMIS via aggregation on the nodes of g (reference / testing).
-IsResult run_nmis_agg_on_nodes(const Graph& g, std::uint64_t seed,
+IsResult run_nmis_agg_on_nodes(const Graph& g, const sim::RunOptions& opts,
                                NmisParams params = {});
 
 /// Nearly-maximal matching: NMIS on L(g) via the Thm 2.8 mechanism.
@@ -51,7 +51,7 @@ struct NmMatchingResult {
   std::uint32_t super_rounds = 0;
 };
 NmMatchingResult run_nearly_maximal_matching(const Graph& g,
-                                             std::uint64_t seed,
+                                             const sim::RunOptions& opts,
                                              NmisParams params = {});
 
 }  // namespace distapx

@@ -6,10 +6,8 @@
 // run and its usage text all read this one table, so adding or changing
 // an algorithm is an edit here and nowhere else.
 //
-// Adapters reduce one (job, seed) execution to a RunRow. Single-program
-// algorithms reuse the worker's leased Network; multi-phase pipelines run
-// their own internal networks (their internal bandwidth policies match
-// the paper's analysis, so the job's policy applies only to leased runs).
+// Adapters reduce one run, under the job's JobSpec::run_options, to a
+// RunRow.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +35,7 @@ struct Algorithm {
   std::string_view name;
   std::string_view paper_ref;  ///< one line, e.g. "... (Thm 2.3)"
   RunRow (*run)(const ResolvedJob& job, NetworkLease& lease,
-                std::uint64_t seed, RunDetail* detail);
+                const sim::RunOptions& opts, RunDetail* detail);
 };
 
 /// Every entry, in the order usage text and scripts list them.

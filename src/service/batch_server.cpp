@@ -145,7 +145,8 @@ BatchResult BatchServer::serve() {
   auto timed_dispatch = [&](const ResolvedJob& job, NetworkLease& lease,
                             std::uint64_t seed, std::uint32_t job_index) {
     const auto t0 = std::chrono::steady_clock::now();
-    RunRow row = job.algorithm->run(job, lease, seed, opts_.detail);
+    RunRow row = job.algorithm->run(job, lease, job.spec.run_options(seed),
+                                    opts_.detail);
     job_hist[job_index]->observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)

@@ -16,10 +16,13 @@
 //   seeds=C          shorthand for 1:C
 //   name=ID          label used in reports                      job<index>
 //   gseed=S          graph-generation + weight RNG seed         1
-//   policy=P         congest[:MULT] | local                     congest:32
+//   policy=P         congest[:MULT] | local, every phase        congest:32
 //   eps=E            epsilon for the (2+-eps)/(1+eps) algos     0.25
 //   maxw=W           random weights drawn from [1, W]           100
-//   rounds=R         per-run round cap                          2^20
+//   rounds=R         cap on a row's total rounds                2^20
+//
+// A run cut by rounds= is still a row: completed=0, with what it spent
+// and found so far.
 //
 // Example:
 //   gen=gnp:400:0.02      algo=luby      seeds=1:16
@@ -63,6 +66,16 @@ struct JobSpec {
   /// Seed of run index `i` (i < num_seeds).
   [[nodiscard]] std::uint64_t seed_at(std::uint32_t i) const {
     return first_seed + i;
+  }
+
+  /// The run contract of the run with seed `seed`: every phase of the
+  /// algorithm runs under `policy`, and the phases share `max_rounds`.
+  [[nodiscard]] sim::RunOptions run_options(std::uint64_t seed) const {
+    sim::RunOptions opts;
+    opts.policy = policy;
+    opts.max_rounds = max_rounds;
+    opts.seed = seed;
+    return opts;
   }
 };
 

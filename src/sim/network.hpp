@@ -82,6 +82,16 @@ inline RunMetrics& accumulate(RunMetrics& a, const RunMetrics& b) {
   return a;
 }
 
+/// Options of the next sub-run of a multi-phase algorithm: `opts` with the
+/// sub-run's own `seed`, capped at the rounds that `spent` has left over.
+inline RunOptions sub_run(RunOptions opts, std::uint64_t seed,
+                          const RunMetrics& spent) {
+  opts.seed = seed;
+  opts.max_rounds -=
+      spent.rounds < opts.max_rounds ? spent.rounds : opts.max_rounds;
+  return opts;
+}
+
 struct RunResult {
   RunMetrics metrics;
   std::vector<std::int64_t> outputs;  ///< per node; meaningful iff halted

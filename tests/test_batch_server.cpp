@@ -574,10 +574,11 @@ TEST_F(KeyFirstGraphFile, OneMissWithAMissingFileFailsServe) {
 
 // ---- the algorithm registry -------------------------------------------------
 
-service::JobSpec registry_spec(std::string_view algo, std::uint32_t seeds) {
+service::JobSpec registry_spec(std::string_view algo, std::uint32_t seeds,
+                               const std::string& extra_keys = "") {
   return service::parse_job_line("gen=gnp:120:0.05 gseed=3 seeds=3:" +
                                  std::to_string(seeds) + " algo=" +
-                                 std::string(algo));
+                                 std::string(algo) + " " + extra_keys);
 }
 
 TEST(AlgorithmRegistry, NamesKeepTheirPublishedOrder) {
@@ -672,6 +673,79 @@ TEST(AlgorithmRegistry, EveryEntryServesItsGoldenRowsAndDetail) {
         << a.name;
     EXPECT_EQ(detail.facts, golden[i].facts) << a.name;
     ++i;
+  }
+}
+
+TEST(AlgorithmRegistry, RoundCapOnTheColoringPhaseServesCutRows) {
+  // rounds=3 stops maxis-alg3 inside its Linial coloring phase. That used
+  // to fail the whole batch; a cut run is a row with completed=0.
+  service::BatchServer server({2});
+  server.submit(service::parse_job_line(
+      "gen=gnp:120:0.05 gseed=3 algo=maxis-alg3 seeds=1:2 rounds=3"));
+  const auto result = server.serve();
+  ASSERT_EQ(result.jobs.at(0).rows.size(), 2u);
+  for (const service::RunRow& row : result.jobs[0].rows) {
+    EXPECT_LE(row.rounds, 3u);
+    EXPECT_FALSE(row.completed);
+  }
+}
+
+TEST(AlgorithmRegistry, EveryEntryRunsUnderTheJobsPolicyAndRoundCap) {
+  // policy= and rounds= bind every phase of every algorithm, so none of
+  // them may be ignored by any registry entry.
+  const std::uint32_t cap = sim::BandwidthPolicy::congest(1).cap_bits(120);
+  for (const service::Algorithm& a : service::algorithms()) {
+    SCOPED_TRACE(std::string(a.name));
+    const auto serve = [&](const std::string& extra_keys) {
+      service::BatchServer server({2});
+      server.submit(registry_spec(a.name, 2, extra_keys));
+      return server.serve().jobs.at(0).rows;
+    };
+    const auto base = serve("");
+
+    // LOCAL only lifts the bandwidth check.
+    EXPECT_EQ(serve("policy=local"), base);
+
+    // congest:1 allows 8 bits per edge per round here: a run either stays
+    // within them or fails with a CONGEST error.
+    try {
+      for (const service::RunRow& row : serve("policy=congest:1")) {
+        EXPECT_LE(row.max_edge_bits, cap);
+      }
+    } catch (const EnsureError& e) {
+      EXPECT_NE(std::string(e.what()).find("CONGEST"), std::string::npos)
+          << e.what();
+    }
+
+    // rounds=3 caps the row's total rounds; a run it cuts is a row with
+    // completed=0.
+    const auto capped = serve("rounds=3");
+    ASSERT_EQ(capped.size(), base.size());
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      EXPECT_LE(capped[r].rounds, 3u) << "run " << r;
+      if (base[r].rounds <= 3) {
+        EXPECT_EQ(capped[r], base[r]) << "run " << r;
+      } else {
+        EXPECT_FALSE(capped[r].completed) << "run " << r;
+      }
+    }
+
+    // The phases share the cap: a cap the run just fits changes nothing,
+    // and one round less cuts it.
+    for (const service::RunRow& row : base) {
+      const auto run_capped = [&](std::uint32_t cap) {
+        service::JobSpec spec = registry_spec(a.name, 1);
+        spec.first_seed = row.seed;
+        spec.max_rounds = cap;
+        service::BatchServer server({1});
+        server.submit(spec);
+        return server.serve().jobs.at(0).rows.at(0);
+      };
+      EXPECT_EQ(run_capped(row.rounds), row);
+      const service::RunRow cut = run_capped(row.rounds - 1);
+      EXPECT_LT(cut.rounds, row.rounds) << "seed " << row.seed;
+      EXPECT_FALSE(cut.completed) << "seed " << row.seed;
+    }
   }
 }
 

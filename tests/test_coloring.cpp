@@ -61,7 +61,7 @@ class LinialFamilies : public ::testing::TestWithParam<int> {};
 TEST_P(LinialFamilies, ProperDeltaPlusOneColoring) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   for (const auto& fc : test::small_families(seed)) {
-    const auto res = linial_coloring(fc.graph);
+    const auto res = linial_coloring(fc.graph, test::run_opts());
     EXPECT_TRUE(is_proper_coloring(fc.graph, res.colors)) << fc.name;
     EXPECT_LE(res.num_colors, fc.graph.max_degree() + 1) << fc.name;
   }
@@ -71,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinialFamilies, ::testing::Values(1, 2));
 
 TEST(Linial, MediumGraphs) {
   for (const auto& fc : test::medium_families(1)) {
-    const auto res = linial_coloring(fc.graph);
+    const auto res = linial_coloring(fc.graph, test::run_opts());
     EXPECT_TRUE(is_proper_coloring(fc.graph, res.colors)) << fc.name;
     EXPECT_LE(res.num_colors, fc.graph.max_degree() + 1) << fc.name;
   }
@@ -80,8 +80,8 @@ TEST(Linial, MediumGraphs) {
 TEST(Linial, DeterministicAndRoundStructure) {
   Rng rng(3);
   const Graph g = gen::gnp(100, 0.06, rng);
-  const auto a = linial_coloring(g);
-  const auto b = linial_coloring(g);
+  const auto a = linial_coloring(g, test::run_opts());
+  const auto b = linial_coloring(g, test::run_opts());
   EXPECT_EQ(a.colors, b.colors);
   // Rounds = reduction steps + class-elimination rounds (O(Δ²) dominated).
   const auto schedule = build_linial_schedule(100, g.max_degree());
@@ -98,8 +98,8 @@ TEST(Linial, EliminationRoundsScaleWithDeltaNotN) {
   Rng rng1(4), rng2(5);
   const Graph small_n = gen::random_regular(128, 4, rng1);
   const Graph large_n = gen::random_regular(1024, 4, rng2);
-  const auto r1 = linial_coloring(small_n);
-  const auto r2 = linial_coloring(large_n);
+  const auto r1 = linial_coloring(small_n, test::run_opts());
+  const auto r2 = linial_coloring(large_n, test::run_opts());
   // Same Δ: rounds should be within a couple of reduction steps.
   EXPECT_LE(r2.metrics.rounds,
             r1.metrics.rounds + 6);
@@ -110,12 +110,12 @@ class RandColoringFamilies : public ::testing::TestWithParam<int> {};
 TEST_P(RandColoringFamilies, ProperDeltaPlusOne) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   for (const auto& fc : test::small_families(seed)) {
-    const auto res = randomized_coloring(fc.graph, seed);
+    const auto res = randomized_coloring(fc.graph, test::run_opts(seed));
     EXPECT_TRUE(is_proper_coloring(fc.graph, res.colors)) << fc.name;
     EXPECT_LE(res.num_colors, fc.graph.max_degree() + 1) << fc.name;
   }
   for (const auto& fc : test::medium_families(seed)) {
-    const auto res = randomized_coloring(fc.graph, seed);
+    const auto res = randomized_coloring(fc.graph, test::run_opts(seed));
     EXPECT_TRUE(is_proper_coloring(fc.graph, res.colors)) << fc.name;
     EXPECT_LE(res.num_colors, fc.graph.max_degree() + 1) << fc.name;
   }
@@ -128,14 +128,14 @@ TEST(RandColoring, LogarithmicRounds) {
   for (NodeId n : {256u, 1024u}) {
     Rng rng(n);
     const Graph g = gen::gnp(n, 6.0 / n, rng);
-    const auto res = randomized_coloring(g, 3);
+    const auto res = randomized_coloring(g, test::run_opts(3));
     EXPECT_LE(res.metrics.rounds, 14 * ceil_log2(n)) << n;
   }
 }
 
 TEST(RandColoring, CompleteGraphUsesWholePalette) {
   const Graph g = gen::complete(9);
-  const auto res = randomized_coloring(g, 2);
+  const auto res = randomized_coloring(g, test::run_opts(2));
   EXPECT_TRUE(is_proper_coloring(g, res.colors));
   EXPECT_EQ(res.num_colors, 9u);
 }

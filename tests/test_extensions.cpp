@@ -38,7 +38,7 @@ TEST(CompleteMultipartite, MaxIsIsLargestPart) {
   const auto res = exact_maxis(g, NodeWeights(10, 1));
   EXPECT_EQ(res.independent_set.size(), 5u);
   // Distributed algorithms keep the Δ bound on it too.
-  const auto mis = run_luby_mis(g, 3);
+  const auto mis = run_luby_mis(g, test::run_opts(3));
   EXPECT_TRUE(is_maximal_independent_set(g, mis.independent_set));
 }
 
@@ -68,7 +68,7 @@ TEST(CompleteMatching, UpgradesNearlyMaximal) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     const Graph g = gen::gnp(120, 0.05, rng);
-    const auto nmm = run_nmm_2eps_matching(g, seed);
+    const auto nmm = run_nmm_2eps_matching(g, test::run_opts(seed));
     const auto completed = complete_matching_greedily(g, nmm.matching);
     EXPECT_TRUE(is_maximal_matching(g, completed)) << "seed " << seed;
     EXPECT_GE(completed.size(), nmm.matching.size());
@@ -93,7 +93,7 @@ TEST(CompleteMatching, NoOpOnMaximal) {
 
 TEST(VertexCover, ComplementOfMaximalIsCovers) {
   for (const auto& fc : test::small_families(5)) {
-    const auto mis = run_luby_mis(fc.graph, 5);
+    const auto mis = run_luby_mis(fc.graph, test::run_opts(5));
     const auto cover = complement_nodes(fc.graph, mis.independent_set);
     EXPECT_TRUE(is_vertex_cover(fc.graph, cover)) << fc.name;
     EXPECT_EQ(cover.size() + mis.independent_set.size(),

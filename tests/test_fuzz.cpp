@@ -57,43 +57,44 @@ TEST_P(Fuzz, AllAlgorithmsAllInvariants) {
       g.num_edges(), 1 + rng.next_below(1 << 10), rng);
 
   // MIS.
-  const auto mis = run_luby_mis(g, seed);
+  const auto mis = run_luby_mis(g, test::run_opts(seed));
   ASSERT_TRUE(is_maximal_independent_set(g, mis.independent_set));
-  const auto nmis = run_nmis(g, seed);
+  const auto nmis = run_nmis(g, test::run_opts(seed));
   ASSERT_TRUE(is_independent_set(g, nmis.independent_set));
 
   // MaxIS (both algorithms).
-  const auto alg2 = run_layered_maxis(g, nw, seed);
+  const auto alg2 = run_layered_maxis(g, nw, test::run_opts(seed));
   ASSERT_TRUE(is_independent_set(g, alg2.independent_set));
   ASSERT_LE(alg2.metrics.max_edge_bits, alg2.metrics.bandwidth_cap);
-  const auto alg3 = run_coloring_maxis_with(g, nw, greedy_coloring(g));
+  const auto alg3 = run_coloring_maxis_with(g, nw, greedy_coloring(g),
+                                            test::run_opts());
   ASSERT_TRUE(is_independent_set(g, alg3.independent_set));
 
   if (g.num_edges() == 0) return;
 
   // Matchings.
-  const auto lr = run_lr_matching(g, ew, seed);
+  const auto lr = run_lr_matching(g, ew, test::run_opts(seed));
   ASSERT_TRUE(is_matching(g, lr.matching));
   ASSERT_LE(lr.metrics.max_edge_bits, lr.metrics.bandwidth_cap);
 
-  const auto det = run_lr_matching_deterministic(g, ew);
+  const auto det = run_lr_matching_deterministic(g, ew, test::run_opts());
   ASSERT_TRUE(is_matching(g, det.matching));
 
-  const auto nmm = run_nmm_2eps_matching(g, seed);
+  const auto nmm = run_nmm_2eps_matching(g, test::run_opts(seed));
   ASSERT_TRUE(is_matching(g, nmm.matching));
   ASSERT_TRUE(is_maximal_matching(
       g, complete_matching_greedily(g, nmm.matching)));
 
-  const auto w2 = run_weighted_2eps_matching(g, ew, seed);
+  const auto w2 = run_weighted_2eps_matching(g, ew, test::run_opts(seed));
   ASSERT_TRUE(is_matching(g, w2.matching));
 
-  const auto prop = run_proposal_matching(g, seed);
+  const auto prop = run_proposal_matching(g, test::run_opts(seed));
   ASSERT_TRUE(is_matching(g, prop.matching));
 
   McmCongestParams mcp;
   mcp.epsilon = 0.5;  // keep the fuzz iteration cheap
   mcp.stages = 4;
-  const auto mc = run_mcm_1eps_congest(g, seed, mcp);
+  const auto mc = run_mcm_1eps_congest(g, test::run_opts(seed), mcp);
   ASSERT_TRUE(is_matching(g, mc.matching));
 }
 

@@ -12,9 +12,16 @@
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "service/job_spec.hpp"
 #include "support/random.hpp"
 
 namespace distapx::test {
+
+/// The run contract of a job with default keys and run seed `seed`, for
+/// tests that call an algorithm's entry point directly.
+inline sim::RunOptions run_opts(std::uint64_t seed = 1) {
+  return service::JobSpec{}.run_options(seed);
+}
 
 /// A fresh unique directory under gtest's TempDir, removed on
 /// destruction. Used by the result-cache and daemon suites.

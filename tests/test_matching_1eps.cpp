@@ -340,7 +340,7 @@ TEST_P(McmCongestSeeds, OnePlusEpsOnGeneralGraphs) {
   const Graph g = gen::gnp(60, 0.08, rng);
   McmCongestParams params;
   params.epsilon = 1.0 / 3.0;
-  const auto res = run_mcm_1eps_congest(g, seed, params);
+  const auto res = run_mcm_1eps_congest(g, test::run_opts(seed), params);
   EXPECT_TRUE(is_matching(g, res.matching));
   const std::size_t opt = blossom_mcm(g).matching.size();
   EXPECT_GE((res.matching.size() + res.deactivated.size()) *
@@ -357,7 +357,7 @@ TEST(McmCongest, BipartiteNearOptimal) {
     const Graph g = gen::bipartite_gnp(25, 25, 0.15, rng);
     McmCongestParams params;
     params.epsilon = 0.25;
-    const auto res = run_mcm_1eps_congest(g, seed, params);
+    const auto res = run_mcm_1eps_congest(g, test::run_opts(seed), params);
     const std::size_t opt = hopcroft_karp(g).matching.size();
     EXPECT_GE((res.matching.size() + res.deactivated.size()) * 1.25,
               static_cast<double>(opt))
@@ -368,9 +368,10 @@ TEST(McmCongest, BipartiteNearOptimal) {
 TEST(McmCongest, PathsAndCycles) {
   McmCongestParams params;
   params.epsilon = 0.25;
-  const auto p = run_mcm_1eps_congest(gen::path(20), 2, params);
+  const auto p = run_mcm_1eps_congest(gen::path(20), test::run_opts(2), params);
   EXPECT_GE(p.matching.size(), 8u);  // opt 10, (1+ε) with slack
-  const auto c = run_mcm_1eps_congest(gen::cycle(20), 2, params);
+  const auto c = run_mcm_1eps_congest(gen::cycle(20), test::run_opts(2),
+                                      params);
   EXPECT_GE(c.matching.size(), 8u);
 }
 
@@ -379,9 +380,32 @@ TEST(McmCongest, MatchingOnlyGrowsAcrossStages) {
   // fraction; specifically at least half of OPT (any maximal matching is).
   Rng rng(9);
   const Graph g = gen::gnp(70, 0.06, rng);
-  const auto res = run_mcm_1eps_congest(g, 9);
+  const auto res = run_mcm_1eps_congest(g, test::run_opts(9));
   const std::size_t opt = blossom_mcm(g).matching.size();
   EXPECT_GE(res.matching.size() * 2 + res.deactivated.size(), opt);
+}
+
+TEST(McmCongest, RoundCapStopsBeforeAChargeWouldPassIt) {
+  // Rounds are charged by formula; a run stops before the stage or search
+  // iteration whose charge would pass opts.max_rounds and says so.
+  Rng rng(9);
+  const Graph g = gen::gnp(70, 0.06, rng);
+  const auto full = run_mcm_1eps_congest(g, test::run_opts(9));
+  ASSERT_TRUE(full.completed);
+  for (const std::uint32_t cap : {0u, 1u, 3u, 100u, full.rounds - 1}) {
+    auto opts = test::run_opts(9);
+    opts.max_rounds = cap;
+    const auto cut = run_mcm_1eps_congest(g, opts);
+    EXPECT_LE(cut.rounds, cap);
+    EXPECT_FALSE(cut.completed) << cap;
+    EXPECT_TRUE(is_matching(g, cut.matching)) << cap;
+  }
+  auto exact = test::run_opts(9);
+  exact.max_rounds = full.rounds;
+  const auto same = run_mcm_1eps_congest(g, exact);
+  EXPECT_TRUE(same.completed);
+  EXPECT_EQ(same.rounds, full.rounds);
+  EXPECT_EQ(same.matching, full.matching);
 }
 
 
@@ -639,7 +663,7 @@ TEST(McmCongestPins, Table1ColdRow) {
     SCOPED_TRACE("seed=" + std::to_string(pin.seed));
     McmCongestParams params;
     params.epsilon = 0.5;
-    const auto res = run_mcm_1eps_congest(g, pin.seed, params);
+    const auto res = run_mcm_1eps_congest(g, test::run_opts(pin.seed), params);
     EXPECT_EQ(res.rounds, pin.rounds);
     EXPECT_EQ(res.matching, pin.matching);
     EXPECT_EQ(res.deactivated, pin.deactivated);

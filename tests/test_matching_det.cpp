@@ -34,7 +34,8 @@ TEST_P(Alg3AggSeeds, DeltaApproximationOnNodes) {
     if (fc.graph.num_nodes() > 20) continue;
     const auto w = node_weights_for(fc.graph, seed, 25);
     const auto res =
-        run_coloring_maxis_agg(fc.graph, w, greedy_coloring(fc.graph));
+        run_coloring_maxis_agg(fc.graph, w, greedy_coloring(fc.graph),
+                               test::run_opts());
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     const Weight opt = test::brute_force_maxis_weight(fc.graph, w);
@@ -54,8 +55,8 @@ TEST(Alg3Agg, AgreesWithMessagePassingVariantGuarantees) {
   const Graph g = gen::gnp(60, 0.1, rng);
   const auto w = node_weights_for(g, 3, 50);
   const auto colors = greedy_coloring(g);
-  const auto agg = run_coloring_maxis_agg(g, w, colors);
-  const auto msg = run_coloring_maxis_with(g, w, colors);
+  const auto agg = run_coloring_maxis_agg(g, w, colors, test::run_opts());
+  const auto msg = run_coloring_maxis_with(g, w, colors, test::run_opts());
   EXPECT_EQ(agg.independent_set, msg.independent_set);
 }
 
@@ -68,7 +69,7 @@ TEST(Alg3Agg, SweepRoundsScaleWithColors) {
   const auto colors = greedy_coloring(g);
   Color num_colors = 0;
   for (Color c : colors) num_colors = std::max(num_colors, c + 1);
-  const auto res = run_coloring_maxis_agg(g, w, colors);
+  const auto res = run_coloring_maxis_agg(g, w, colors, test::run_opts());
   EXPECT_LE(res.metrics.rounds, 4u * num_colors + 8u);
 }
 
@@ -79,7 +80,8 @@ TEST_P(DetLrSeeds, TwoApproxMwmSmall) {
   for (const auto& fc : test::small_families(seed)) {
     if (fc.graph.num_nodes() > 20 || fc.graph.num_edges() == 0) continue;
     const auto w = edge_weights_for(fc.graph, seed, 25);
-    const auto res = run_lr_matching_deterministic(fc.graph, w);
+    const auto res = run_lr_matching_deterministic(fc.graph, w,
+                                                   test::run_opts());
     EXPECT_TRUE(is_matching(fc.graph, res.matching)) << fc.name;
     const Weight opt =
         matching_weight(w, exact_mwm_small(fc.graph, w).matching);
@@ -93,8 +95,8 @@ TEST(DetLr, FullyDeterministic) {
   Rng rng(5);
   const Graph g = gen::gnp(40, 0.12, rng);
   const auto w = edge_weights_for(g, 5, 64);
-  const auto a = run_lr_matching_deterministic(g, w);
-  const auto b = run_lr_matching_deterministic(g, w);
+  const auto a = run_lr_matching_deterministic(g, w, test::run_opts());
+  const auto b = run_lr_matching_deterministic(g, w, test::run_opts());
   EXPECT_EQ(a.matching, b.matching);
   EXPECT_EQ(a.matching_metrics.rounds, b.matching_metrics.rounds);
 }
@@ -103,7 +105,7 @@ TEST(DetLr, BipartiteAtScale) {
   Rng rng(6);
   const Graph g = gen::bipartite_gnp(30, 30, 0.1, rng);
   const auto w = edge_weights_for(g, 6, 100);
-  const auto res = run_lr_matching_deterministic(g, w);
+  const auto res = run_lr_matching_deterministic(g, w, test::run_opts());
   EXPECT_TRUE(is_matching(g, res.matching));
   const Weight opt = matching_weight(w, exact_mwm_bipartite(g, w).matching);
   EXPECT_GE(matching_weight(w, res.matching) * 2, opt);
@@ -120,7 +122,7 @@ TEST(DetLr, CongestionBoundedOnStar) {
   const Graph star = gen::star(100);
   EdgeWeights w(star.num_edges(), 1);
   w[7] = 500;
-  const auto res = run_lr_matching_deterministic(star, w);
+  const auto res = run_lr_matching_deterministic(star, w, test::run_opts());
   ASSERT_EQ(res.matching.size(), 1u);
   EXPECT_GE(matching_weight(w, res.matching) * 2, 500);
   EXPECT_LE(res.matching_metrics.max_edge_bits,
@@ -129,8 +131,11 @@ TEST(DetLr, CongestionBoundedOnStar) {
 
 TEST(DetLr, EmptyGraph) {
   const Graph empty = GraphBuilder(3).build();
-  const auto res = run_lr_matching_deterministic(empty, {});
+  const auto res = run_lr_matching_deterministic(empty, {}, test::run_opts());
   EXPECT_TRUE(res.matching.empty());
+  // Nothing to run is a completed run, as it is for the randomized variant.
+  EXPECT_TRUE(res.coloring_metrics.completed);
+  EXPECT_TRUE(res.matching_metrics.completed);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ TEST_P(Nmm2EpsSeeds, ApproximatesMcm) {
   const Graph g = gen::gnp(100, 0.06, rng);
   Nmm2EpsParams params;
   params.epsilon = 0.25;
-  const auto res = run_nmm_2eps_matching(g, seed, params);
+  const auto res = run_nmm_2eps_matching(g, test::run_opts(seed), params);
   EXPECT_TRUE(is_matching(g, res.matching));
   const std::size_t opt = blossom_mcm(g).matching.size();
   // (2+ε) guarantee with the paper's expectation argument; fixed seeds.
@@ -43,7 +43,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Nmm2EpsSeeds, ::testing::Range(1, 7));
 TEST(Nmm2Eps, UndecidedEdgesAreUncoveredOnly) {
   Rng rng(3);
   const Graph g = gen::gnp(80, 0.08, rng);
-  const auto res = run_nmm_2eps_matching(g, 3);
+  const auto res = run_nmm_2eps_matching(g, test::run_opts(3));
   std::vector<bool> used(g.num_nodes(), false);
   for (EdgeId e : res.matching) {
     const auto [u, v] = g.endpoints(e);
@@ -68,19 +68,19 @@ TEST(Nmm2Eps, RoundsGrowSublinearlyInDegree) {
   {
     Rng rng(5);
     const Graph g = gen::random_regular(256, 4, rng);
-    r4 = run_nmm_2eps_matching(g, 5).super_rounds;
+    r4 = run_nmm_2eps_matching(g, test::run_opts(5)).super_rounds;
   }
   {
     Rng rng(6);
     const Graph g = gen::random_regular(256, 32, rng);
-    r32 = run_nmm_2eps_matching(g, 6).super_rounds;
+    r32 = run_nmm_2eps_matching(g, test::run_opts(6)).super_rounds;
   }
   EXPECT_LT(r32, r4 * 4);  // 8x the degree, far less than 8x the rounds
 }
 
 TEST(Nmm2Eps, CongestCapRespected) {
   const Graph g = gen::star(150);
-  const auto res = run_nmm_2eps_matching(g, 7);
+  const auto res = run_nmm_2eps_matching(g, test::run_opts(7));
   EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap);
 }
 
@@ -91,7 +91,7 @@ TEST_P(WeightedBucketSeeds, Stage1IsConstantApprox) {
   Rng rng(seed);
   const Graph g = gen::bipartite_gnp(30, 30, 0.12, rng);
   const auto w = edge_weights_for(g, seed, 1000);
-  const auto res = run_bucketed_o1_mwm(g, w, seed);
+  const auto res = run_bucketed_o1_mwm(g, w, test::run_opts(seed));
   EXPECT_TRUE(is_matching(g, res.matching));
   const Weight opt = matching_weight(w, exact_mwm_bipartite(g, w).matching);
   const Weight got = matching_weight(w, res.matching);
@@ -109,7 +109,8 @@ TEST_P(Weighted2EpsSeeds, TwoPlusEpsApproximation) {
   const auto w = edge_weights_for(g, seed, 500);
   Weighted2EpsParams params;
   params.epsilon = 0.25;
-  const auto res = run_weighted_2eps_matching(g, w, seed, params);
+  const auto res = run_weighted_2eps_matching(g, w, test::run_opts(seed),
+                                              params);
   EXPECT_TRUE(is_matching(g, res.matching));
   const Weight opt = matching_weight(w, exact_mwm_bipartite(g, w).matching);
   const double got = static_cast<double>(matching_weight(w, res.matching));
@@ -123,8 +124,8 @@ TEST(Weighted2Eps, RefinementImprovesStage1) {
   Rng rng(11);
   const Graph g = gen::bipartite_gnp(30, 30, 0.15, rng);
   const auto w = edge_weights_for(g, 11, 300);
-  const auto stage1 = run_bucketed_o1_mwm(g, w, 11);
-  const auto full = run_weighted_2eps_matching(g, w, 11);
+  const auto stage1 = run_bucketed_o1_mwm(g, w, test::run_opts(11));
+  const auto full = run_weighted_2eps_matching(g, w, test::run_opts(11));
   EXPECT_GE(matching_weight(w, full.matching),
             matching_weight(w, stage1.matching));
 }
@@ -135,7 +136,7 @@ TEST(Weighted2Eps, GeneralGraphsSmall) {
     const Graph g = gen::gnp(14, 0.3, rng);
     if (g.num_edges() == 0) continue;
     const auto w = edge_weights_for(g, seed, 100);
-    const auto res = run_weighted_2eps_matching(g, w, seed);
+    const auto res = run_weighted_2eps_matching(g, w, test::run_opts(seed));
     EXPECT_TRUE(is_matching(g, res.matching));
     const Weight opt = matching_weight(w, exact_mwm_small(g, w).matching);
     EXPECT_GE(matching_weight(w, res.matching) * 3, opt)
@@ -167,7 +168,7 @@ TEST_P(ProposalSeeds, BipartiteMatchingQuality) {
   ProposalParams params;
   params.epsilon = 0.2;
   const auto res =
-      run_proposal_matching_bipartite(g, *parts, seed, params);
+      run_proposal_matching_bipartite(g, *parts, test::run_opts(seed), params);
   EXPECT_TRUE(is_matching(g, res.matching));
   // Lemma B.13: few unlucky left nodes.
   std::size_t left_in_opt = 0;
@@ -189,7 +190,7 @@ TEST(Proposal, GeneralGraphWrapper) {
     const Graph g = gen::gnp(90, 0.07, rng);
     ProposalParams params;
     params.epsilon = 0.2;
-    const auto res = run_proposal_matching(g, seed, params);
+    const auto res = run_proposal_matching(g, test::run_opts(seed), params);
     EXPECT_TRUE(is_matching(g, res.matching));
     const std::size_t opt = blossom_mcm(g).matching.size();
     EXPECT_GE(res.matching.size() * (2.0 + params.epsilon) + 2.0,
@@ -204,7 +205,8 @@ TEST(Proposal, PerfectOnDisjointEdges) {
   for (NodeId v = 0; v < 10; v += 2) b.add_edge(v, v + 1);
   const Graph g = b.build();
   const auto parts = try_bipartition(g);
-  const auto res = run_proposal_matching_bipartite(g, *parts, 3);
+  const auto res = run_proposal_matching_bipartite(g, *parts,
+                                                   test::run_opts(3));
   EXPECT_EQ(res.matching.size(), 5u);
   EXPECT_TRUE(res.unlucky.empty());
 }
@@ -213,7 +215,8 @@ TEST(Proposal, RespectsCongestCap) {
   Rng rng(4);
   const Graph g = gen::bipartite_gnp(50, 50, 0.1, rng);
   const auto parts = try_bipartition(g);
-  const auto res = run_proposal_matching_bipartite(g, *parts, 4);
+  const auto res = run_proposal_matching_bipartite(g, *parts,
+                                                   test::run_opts(4));
   EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap);
 }
 

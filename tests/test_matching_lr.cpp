@@ -32,7 +32,7 @@ TEST_P(AggMaxIsSeeds, DeltaApproximationOnNodes) {
   for (const auto& fc : test::small_families(seed)) {
     if (fc.graph.num_nodes() > 20) continue;
     const auto w = node_weights_for(fc.graph, seed, 25);
-    const auto res = run_layered_maxis_agg(fc.graph, w, seed);
+    const auto res = run_layered_maxis_agg(fc.graph, w, test::run_opts(seed));
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     const Weight opt = test::brute_force_maxis_weight(fc.graph, w);
@@ -47,7 +47,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AggMaxIsSeeds, ::testing::Range(1, 5));
 TEST(AggMaxIs, MediumFamilies) {
   for (const auto& fc : test::medium_families(3)) {
     const auto w = node_weights_for(fc.graph, 3, 100);
-    const auto res = run_layered_maxis_agg(fc.graph, w, 3);
+    const auto res = run_layered_maxis_agg(fc.graph, w, test::run_opts(3));
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     EXPECT_TRUE(res.metrics.completed) << fc.name;
@@ -58,7 +58,8 @@ TEST(AggMaxIs, UnitWeightsGiveMaximalIs) {
   Rng rng(4);
   const Graph g = gen::gnp(100, 0.06, rng);
   const auto res =
-      run_layered_maxis_agg(g, gen::unit_node_weights(g.num_nodes()), 4);
+      run_layered_maxis_agg(g, gen::unit_node_weights(g.num_nodes()),
+                            test::run_opts(4));
   EXPECT_TRUE(is_maximal_independent_set(g, res.independent_set));
 }
 
@@ -69,7 +70,7 @@ TEST_P(LrMatchingSeeds, TwoApproximationSmall) {
   for (const auto& fc : test::small_families(seed)) {
     if (fc.graph.num_nodes() > 20 || fc.graph.num_edges() == 0) continue;
     const auto w = edge_weights_for(fc.graph, seed, 25);
-    const auto res = run_lr_matching(fc.graph, w, seed);
+    const auto res = run_lr_matching(fc.graph, w, test::run_opts(seed));
     EXPECT_TRUE(is_matching(fc.graph, res.matching)) << fc.name;
     const Weight opt =
         matching_weight(w, exact_mwm_small(fc.graph, w).matching);
@@ -85,7 +86,7 @@ TEST(LrMatching, BipartiteAtScale) {
     Rng rng(seed);
     const Graph g = gen::bipartite_gnp(40, 40, 0.08, rng);
     const auto w = edge_weights_for(g, seed, 100);
-    const auto res = run_lr_matching(g, w, seed);
+    const auto res = run_lr_matching(g, w, test::run_opts(seed));
     EXPECT_TRUE(is_matching(g, res.matching));
     const Weight opt =
         matching_weight(w, exact_mwm_bipartite(g, w).matching);
@@ -100,7 +101,8 @@ TEST(LrMatching, UnweightedIsMaximalMatching) {
   Rng rng(5);
   const Graph g = gen::gnp(60, 0.08, rng);
   const auto res =
-      run_lr_matching(g, gen::unit_edge_weights(g.num_edges()), 5);
+      run_lr_matching(g, gen::unit_edge_weights(g.num_edges()),
+                      test::run_opts(5));
   EXPECT_TRUE(is_maximal_matching(g, res.matching));
 }
 
@@ -109,7 +111,7 @@ TEST(LrMatching, CongestionBoundedOnHighDegreeGraphs) {
   // CONGEST cap when executed through the aggregation mechanism.
   const Graph star = gen::star(200);
   const auto w = edge_weights_for(star, 6, 1000);
-  const auto res = run_lr_matching(star, w, 6);
+  const auto res = run_lr_matching(star, w, test::run_opts(6));
   EXPECT_TRUE(is_matching(star, res.matching));
   EXPECT_EQ(res.matching.size(), 1u);  // stars have a 1-edge maximum
   EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap);
@@ -124,7 +126,7 @@ TEST(LrMatching, StarPicksHeaviestEdgeByWeightDominance) {
   const Graph star = gen::star(12);
   EdgeWeights w(star.num_edges(), 1);
   w[4] = 1000;
-  const auto res = run_lr_matching(star, w, 7);
+  const auto res = run_lr_matching(star, w, test::run_opts(7));
   ASSERT_EQ(res.matching.size(), 1u);
   EXPECT_GE(matching_weight(w, res.matching) * 2, 1000);
 }
@@ -133,8 +135,8 @@ TEST(LrMatching, DeterministicPerSeed) {
   Rng rng(8);
   const Graph g = gen::gnp(40, 0.12, rng);
   const auto w = edge_weights_for(g, 8, 64);
-  const auto a = run_lr_matching(g, w, 9);
-  const auto b = run_lr_matching(g, w, 9);
+  const auto a = run_lr_matching(g, w, test::run_opts(9));
+  const auto b = run_lr_matching(g, w, test::run_opts(9));
   EXPECT_EQ(a.matching, b.matching);
   EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
 }
@@ -143,7 +145,7 @@ TEST(LrMatching, MediumFamiliesComplete) {
   for (const auto& fc : test::medium_families(9)) {
     if (fc.graph.num_edges() == 0) continue;
     const auto w = edge_weights_for(fc.graph, 9, 50);
-    const auto res = run_lr_matching(fc.graph, w, 9);
+    const auto res = run_lr_matching(fc.graph, w, test::run_opts(9));
     EXPECT_TRUE(is_matching(fc.graph, res.matching)) << fc.name;
     EXPECT_TRUE(res.metrics.completed) << fc.name;
     EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap)

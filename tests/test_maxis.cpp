@@ -157,7 +157,7 @@ TEST_P(LayeredMaxIsSeeds, DeltaApproximationSmall) {
   for (const auto& fc : test::small_families(seed)) {
     if (fc.graph.num_nodes() > 20) continue;
     const auto w = weights_for(fc.graph, seed, 25);
-    const auto res = run_layered_maxis(fc.graph, w, seed);
+    const auto res = run_layered_maxis(fc.graph, w, test::run_opts(seed));
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     const Weight opt = test::brute_force_maxis_weight(fc.graph, w);
@@ -174,7 +174,7 @@ TEST(LayeredMaxIs, ForestRatioAtScale) {
     Rng rng(seed);
     const Graph t = gen::random_tree(400, rng);
     const auto w = weights_for(t, seed, 1000);
-    const auto res = run_layered_maxis(t, w, seed);
+    const auto res = run_layered_maxis(t, w, test::run_opts(seed));
     EXPECT_TRUE(is_independent_set(t, res.independent_set));
     const Weight opt =
         set_weight(w, exact_maxis_forest(t, w).independent_set);
@@ -189,7 +189,7 @@ TEST(LayeredMaxIs, ForestRatioAtScale) {
 TEST(LayeredMaxIs, MediumFamiliesComplete) {
   for (const auto& fc : test::medium_families(2)) {
     const auto w = weights_for(fc.graph, 2, 100);
-    const auto res = run_layered_maxis(fc.graph, w, 2);
+    const auto res = run_layered_maxis(fc.graph, w, test::run_opts(2));
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     EXPECT_TRUE(res.metrics.completed) << fc.name;
@@ -207,7 +207,7 @@ TEST(LayeredMaxIs, SelectionRuleVariants) {
         MisSelectionRule::kIdGreedy}) {
     LayeredMaxIsParams params;
     params.rule = rule;
-    const auto res = run_layered_maxis(g, w, 7, params);
+    const auto res = run_layered_maxis(g, w, test::run_opts(7), params);
     EXPECT_TRUE(is_independent_set(g, res.independent_set))
         << static_cast<int>(rule);
     EXPECT_GT(res.independent_set.size(), 0u);
@@ -218,8 +218,8 @@ TEST(LayeredMaxIs, DeterministicPerSeed) {
   Rng rng(8);
   const Graph g = gen::gnp(50, 0.1, rng);
   const auto w = weights_for(g, 8, 32);
-  const auto a = run_layered_maxis(g, w, 42);
-  const auto b = run_layered_maxis(g, w, 42);
+  const auto a = run_layered_maxis(g, w, test::run_opts(42));
+  const auto b = run_layered_maxis(g, w, test::run_opts(42));
   EXPECT_EQ(a.independent_set, b.independent_set);
   EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
 }
@@ -235,8 +235,8 @@ TEST(LayeredMaxIs, RoundsScaleWithLogW) {
     w_small[v] = wrng.next_in(1, 2);
     w_large[v] = wrng.next_in(1, 1 << 16);
   }
-  const auto small = run_layered_maxis(g, w_small, 3);
-  const auto large = run_layered_maxis(g, w_large, 3);
+  const auto small = run_layered_maxis(g, w_small, test::run_opts(3));
+  const auto large = run_layered_maxis(g, w_large, test::run_opts(3));
   EXPECT_GT(large.metrics.rounds, small.metrics.rounds);
   EXPECT_LE(large.metrics.rounds, small.metrics.rounds * 40);
 }
@@ -246,7 +246,8 @@ TEST(LayeredMaxIs, UnitWeightsEqualsMisBehaviour) {
   Rng rng(11);
   const Graph g = gen::gnp(100, 0.08, rng);
   const auto res =
-      run_layered_maxis(g, gen::unit_node_weights(g.num_nodes()), 4);
+      run_layered_maxis(g, gen::unit_node_weights(g.num_nodes()),
+                        test::run_opts(4));
   EXPECT_TRUE(is_maximal_independent_set(g, res.independent_set));
 }
 
@@ -259,8 +260,8 @@ TEST_P(ColoringMaxIsSeeds, DeltaApproximationSmall) {
   for (const auto& fc : test::small_families(seed)) {
     if (fc.graph.num_nodes() > 20) continue;
     const auto w = weights_for(fc.graph, seed, 25);
-    const auto res = run_coloring_maxis_with(fc.graph, w,
-                                             greedy_coloring(fc.graph));
+    const auto res = run_coloring_maxis_with(
+        fc.graph, w, greedy_coloring(fc.graph), test::run_opts());
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     const Weight opt = test::brute_force_maxis_weight(fc.graph, w);
@@ -278,7 +279,7 @@ TEST(ColoringMaxIs, FullPipelines) {
   const auto w = weights_for(g, 3, 50);
   for (ColoringSource src :
        {ColoringSource::kLinial, ColoringSource::kRandomized}) {
-    const auto res = run_coloring_maxis(g, w, src, 5);
+    const auto res = run_coloring_maxis(g, w, src, test::run_opts(5));
     EXPECT_TRUE(is_independent_set(g, res.independent_set));
     EXPECT_GT(res.coloring_metrics.rounds, 0u);
     EXPECT_GT(res.maxis_metrics.rounds, 0u);
@@ -290,8 +291,10 @@ TEST(ColoringMaxIs, DeterministicWithLinial) {
   Rng rng(4);
   const Graph g = gen::gnp(60, 0.1, rng);
   const auto w = weights_for(g, 4, 20);
-  const auto a = run_coloring_maxis(g, w, ColoringSource::kLinial);
-  const auto b = run_coloring_maxis(g, w, ColoringSource::kLinial);
+  const auto a = run_coloring_maxis(g, w, ColoringSource::kLinial,
+                                    test::run_opts());
+  const auto b = run_coloring_maxis(g, w, ColoringSource::kLinial,
+                                    test::run_opts());
   EXPECT_EQ(a.independent_set, b.independent_set);
 }
 
@@ -302,10 +305,10 @@ TEST(ColoringMaxIs, PostColoringRoundsScaleWithColors) {
   const Graph large = gen::random_regular(512, 4, rng2);
   const auto ws = weights_for(small, 5, 100);
   const auto wl = weights_for(large, 6, 100);
-  const auto rs = run_coloring_maxis_with(small, ws,
-                                          greedy_coloring(small));
-  const auto rl = run_coloring_maxis_with(large, wl,
-                                          greedy_coloring(large));
+  const auto rs = run_coloring_maxis_with(small, ws, greedy_coloring(small),
+                                          test::run_opts());
+  const auto rl = run_coloring_maxis_with(large, wl, greedy_coloring(large),
+                                          test::run_opts());
   // Same Δ ⇒ same palette ⇒ comparable round counts despite 8x nodes.
   EXPECT_LE(rl.maxis_metrics.rounds, rs.maxis_metrics.rounds * 3);
 }
@@ -313,7 +316,8 @@ TEST(ColoringMaxIs, PostColoringRoundsScaleWithColors) {
 TEST(ColoringMaxIs, RejectsImproperColoring) {
   const Graph p = gen::path(3);
   EXPECT_THROW(
-      run_coloring_maxis_with(p, NodeWeights{1, 2, 3}, {0, 0, 1}),
+      run_coloring_maxis_with(p, NodeWeights{1, 2, 3}, {0, 0, 1},
+                              test::run_opts()),
       EnsureError);
 }
 

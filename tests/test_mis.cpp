@@ -17,13 +17,13 @@ class LubyFamilies : public ::testing::TestWithParam<int> {};
 TEST_P(LubyFamilies, ProducesMaximalIndependentSet) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   for (const auto& fc : test::small_families(seed)) {
-    const auto res = run_luby_mis(fc.graph, seed);
+    const auto res = run_luby_mis(fc.graph, test::run_opts(seed));
     EXPECT_TRUE(is_maximal_independent_set(fc.graph, res.independent_set))
         << fc.name;
     EXPECT_TRUE(res.undecided.empty()) << fc.name;
   }
   for (const auto& fc : test::medium_families(seed)) {
-    const auto res = run_luby_mis(fc.graph, seed);
+    const auto res = run_luby_mis(fc.graph, test::run_opts(seed));
     EXPECT_TRUE(is_maximal_independent_set(fc.graph, res.independent_set))
         << fc.name;
   }
@@ -37,7 +37,7 @@ TEST(Luby, RoundsScaleLogarithmically) {
   for (NodeId n : {128u, 512u, 2048u}) {
     Rng rng(n);
     const Graph g = gen::gnp(n, 8.0 / n, rng);
-    const auto res = run_luby_mis(g, 7);
+    const auto res = run_luby_mis(g, test::run_opts(7));
     EXPECT_LE(res.metrics.rounds, 12 * ceil_log2(n)) << n;
   }
 }
@@ -45,8 +45,8 @@ TEST(Luby, RoundsScaleLogarithmically) {
 TEST(Luby, DeterministicForSeed) {
   Rng rng(3);
   const Graph g = gen::gnp(60, 0.1, rng);
-  const auto a = run_luby_mis(g, 11);
-  const auto b = run_luby_mis(g, 11);
+  const auto a = run_luby_mis(g, test::run_opts(11));
+  const auto b = run_luby_mis(g, test::run_opts(11));
   EXPECT_EQ(a.independent_set, b.independent_set);
   EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
 }
@@ -55,7 +55,7 @@ TEST(Luby, IsolatedNodesJoin) {
   GraphBuilder b(4);
   b.add_edge(0, 1);
   const Graph g = b.build();
-  const auto res = run_luby_mis(g, 1);
+  const auto res = run_luby_mis(g, test::run_opts());
   // Nodes 2 and 3 are isolated: always in the MIS.
   EXPECT_TRUE(std::count(res.independent_set.begin(),
                          res.independent_set.end(), 2));
@@ -92,7 +92,7 @@ class NmisFamilies : public ::testing::TestWithParam<int> {};
 TEST_P(NmisFamilies, IndependenceAndCoverage) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   for (const auto& fc : test::medium_families(seed)) {
-    const auto res = run_nmis(fc.graph, seed);
+    const auto res = run_nmis(fc.graph, test::run_opts(seed));
     EXPECT_TRUE(is_independent_set(fc.graph, res.independent_set))
         << fc.name;
     // Near-maximality: every node not undecided is in the IS or covered.
@@ -127,7 +127,7 @@ TEST(Nmis, ThenLubyIsMaximal) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     const Graph g = gen::gnp(150, 0.05, rng);
-    const auto res = run_nmis_then_luby(g, seed);
+    const auto res = run_nmis_then_luby(g, test::run_opts(seed));
     EXPECT_TRUE(is_maximal_independent_set(g, res.independent_set));
     EXPECT_TRUE(res.undecided.empty());
   }
@@ -167,7 +167,7 @@ TEST(NmisAgg, MatchesMessagePassingGuarantees) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     const Graph g = gen::gnp(120, 0.06, rng);
-    const auto res = run_nmis_agg_on_nodes(g, seed);
+    const auto res = run_nmis_agg_on_nodes(g, test::run_opts(seed));
     EXPECT_TRUE(is_independent_set(g, res.independent_set));
     std::vector<bool> in_is(g.num_nodes(), false);
     for (NodeId v : res.independent_set) in_is[v] = true;
@@ -184,7 +184,7 @@ TEST(NearlyMaximalMatching, ValidAndNearMaximal) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     const Graph g = gen::gnp(80, 0.08, rng);
-    const auto res = run_nearly_maximal_matching(g, seed);
+    const auto res = run_nearly_maximal_matching(g, test::run_opts(seed));
     EXPECT_TRUE(is_matching(g, res.matching));
     // Every edge not undecided is matched or touches a matched node.
     std::vector<bool> used(g.num_nodes(), false);
@@ -210,7 +210,7 @@ TEST(NearlyMaximalMatching, CongestionIndependentOfDegree) {
   // The headline Theorem 2.8/3.2 systems claim: running NMIS on the line
   // graph of a high-degree star stays within the CONGEST cap.
   const Graph g = gen::star(128);
-  const auto res = run_nearly_maximal_matching(g, 5);
+  const auto res = run_nearly_maximal_matching(g, test::run_opts(5));
   EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap);
   EXPECT_TRUE(is_matching(g, res.matching));
   // A star's matching has exactly one edge; near-maximality should find it
@@ -225,12 +225,12 @@ TEST(Nmis, RoundsGrowSlowlyWithDegree) {
   {
     Rng rng(9);
     const Graph g = gen::random_regular(256, 4, rng);
-    rounds_small = run_nmis(g, 3).metrics.rounds;
+    rounds_small = run_nmis(g, test::run_opts(3)).metrics.rounds;
   }
   {
     Rng rng(10);
     const Graph g = gen::random_regular(256, 16, rng);
-    rounds_large = run_nmis(g, 3).metrics.rounds;
+    rounds_large = run_nmis(g, test::run_opts(3)).metrics.rounds;
   }
   EXPECT_LT(rounds_large, rounds_small * 3);
 }
@@ -246,7 +246,7 @@ TEST(Nmis, Theorem31CoverageGuaranteeStatistically) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(hash_combine(seed, 0x31));
     const Graph g = gen::random_regular(256, 8, rng);
-    const auto res = run_nmis(g, seed, params);
+    const auto res = run_nmis(g, test::run_opts(seed), params);
     uncovered += res.undecided.size();
     total += g.num_nodes();
   }
@@ -270,8 +270,8 @@ TEST(Nmis, AdversarialLocality) {
   for (NodeId u = 8; u < 16; ++u)
     for (NodeId v = u + 1; v < 16; ++v) b.add_edge(u, v);
   const Graph with_far = b.build();
-  const auto a = run_nmis(core, 7);
-  const auto c = run_nmis(with_far, 7);
+  const auto a = run_nmis(core, test::run_opts(7));
+  const auto c = run_nmis(with_far, test::run_opts(7));
   // Same per-node RNG streams + same neighborhoods => identical outcomes
   // for the core nodes.
   std::vector<bool> in_a(8, false), in_c(8, false);

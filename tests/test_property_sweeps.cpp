@@ -124,7 +124,8 @@ TEST_P(MaxIsSweep, BothDistributedAlgorithmsValidAndBoundedVsSeq) {
   }
   const auto& alg2_set = batch_sets.front();  // seed 5, as before
 
-  const auto alg3 = run_coloring_maxis_with(g, w, greedy_coloring(g));
+  const auto alg3 = run_coloring_maxis_with(g, w, greedy_coloring(g),
+                                            test::run_opts());
   ASSERT_TRUE(is_independent_set(g, alg3.independent_set));
 
   // The sequential meta-algorithm (Algorithm 1) with the top-layer policy
@@ -176,11 +177,11 @@ TEST_P(MatchingSweep, LrAndNmmValidWithCardinalityFloor) {
           ? gen::unit_edge_weights(g.num_edges())
           : gen::uniform_edge_weights(g.num_edges(), 1 << 10, wrng);
 
-  const auto lr = run_lr_matching(g, ew, 5);
+  const auto lr = run_lr_matching(g, ew, test::run_opts(5));
   ASSERT_TRUE(is_matching(g, lr.matching)) << family_name(family);
   ASSERT_LE(lr.metrics.max_edge_bits, lr.metrics.bandwidth_cap);
 
-  const auto nmm = run_nmm_2eps_matching(g, 5);
+  const auto nmm = run_nmm_2eps_matching(g, test::run_opts(5));
   ASSERT_TRUE(is_matching(g, nmm.matching));
 
   // Cardinality floor: a maximal matching is at least half of MCM, and
@@ -263,7 +264,7 @@ TEST_P(WeightedMatchingConformance, Weighted2EpsWithinRatioOfExactMwm) {
   Weighted2EpsParams params;
   params.epsilon = 0.25;
   const auto res = run_weighted_2eps_matching(
-      g, ew, static_cast<std::uint64_t>(seed), params);
+      g, ew, test::run_opts(static_cast<std::uint64_t>(seed)), params);
   ASSERT_TRUE(is_matching(g, res.matching)) << bip_family_name(family);
 
   const Weight opt = matching_weight(ew, exact_mwm_bipartite(g, ew).matching);
@@ -293,8 +294,8 @@ TEST_P(McmConformance, OnePlusEpsWithinRatioOfHopcroftKarp) {
 
   McmCongestParams params;
   params.epsilon = 1.0 / 3.0;
-  const auto res =
-      run_mcm_1eps_congest(g, static_cast<std::uint64_t>(seed), params);
+  const auto res = run_mcm_1eps_congest(
+      g, test::run_opts(static_cast<std::uint64_t>(seed)), params);
   ASSERT_TRUE(is_matching(g, res.matching)) << bip_family_name(family);
 
   const std::size_t opt = hopcroft_karp(g).matching.size();
@@ -350,7 +351,7 @@ TEST_P(MaxIsConformance, LayeredAndGreedyWithinDeltaOfExact) {
   const Weight delta = std::max<std::uint32_t>(g.max_degree(), 1);
 
   // Algorithm 2 (Thm 2.3): Δ-approximation, any seed.
-  const auto layered = run_layered_maxis(g, w, 7);
+  const auto layered = run_layered_maxis(g, w, test::run_opts(7));
   ASSERT_TRUE(is_independent_set(g, layered.independent_set));
   const Weight w_layered = set_weight(w, layered.independent_set);
   EXPECT_GE(w_layered * delta, opt)
