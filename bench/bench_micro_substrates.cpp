@@ -14,8 +14,11 @@
 #include "matching/bipartite_paths.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/mcm_congest.hpp"
+#include "matching/nmm_2eps.hpp"
+#include "matching/weighted_2eps.hpp"
 #include "mis/luby.hpp"
 #include "sim/aggregation.hpp"
+#include "sim/workspace.hpp"
 #include "support/random.hpp"
 
 namespace distapx {
@@ -49,8 +52,9 @@ void BM_LineGraphConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_LineGraphConstruction)->Arg(512)->Arg(1024);
 
-/// One mwm-2eps bucket on the served row's graph: an edge subgraph that
-/// keeps all n nodes but only ~5% of the edges.
+/// An edge subgraph of the served mwm-2eps row's graph that keeps all n
+/// nodes but only ~5% of the edges (the full-n shape mcm-1eps and proposal
+/// filter their phases through; mwm-2eps buckets run on compact graphs).
 void BM_EdgeSubgraph(benchmark::State& state) {
   Rng rng(9);
   const Graph g = gen::gnp(1500, 0.005, rng);
@@ -89,8 +93,8 @@ LeaseCase lease_case(benchmark::State& state) {
   return {std::move(g), std::move(program)};
 }
 
-/// What a worker's NetworkLease saves per run on a fresh graph: a Network
-/// built for the run (as the multi-phase adapters do) ...
+/// What a worker's kept sim::Workspace saves per run on a fresh graph: a
+/// Network built for the run (what every run without a workspace does) ...
 void BM_NetworkConstructRun(benchmark::State& state) {
   const LeaseCase c = lease_case(state);
   std::uint64_t seed = 0;
@@ -101,8 +105,8 @@ void BM_NetworkConstructRun(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkConstructRun)->Arg(0)->Arg(1);
 
-/// ... against one kept Network rebound to the graph (as the leased IS
-/// programs do when a unit of a new job arrives).
+/// ... against one kept Network rebound to the graph (as a workspace does
+/// when a unit of a new job arrives).
 void BM_NetworkRebindRun(benchmark::State& state) {
   const LeaseCase c = lease_case(state);
   sim::Network net;
@@ -187,6 +191,62 @@ void BM_LineAggregationRounds(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LineAggregationRounds)->Arg(512)->Arg(2048);
+
+/// The table1-cold mcm-2eps row: NMM on the line graph of gnp:900:0.005
+/// (ε = 0.25), with a fresh AggEngine's buffers per run ...
+void BM_NmmLineFreshRun(benchmark::State& state) {
+  Rng rng(9);
+  const Graph g = gen::from_spec("gnp:900:0.005", rng);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        run_nmm_2eps_matching(g, bench::run_opts(++seed)));
+  }
+}
+BENCHMARK(BM_NmmLineFreshRun)->Unit(benchmark::kMicrosecond);
+
+/// ... against one kept workspace, as a serving worker runs it.
+void BM_NmmLineWorkspaceRun(benchmark::State& state) {
+  Rng rng(9);
+  const Graph g = gen::from_spec("gnp:900:0.005", rng);
+  sim::Workspace ws;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    sim::RunOptions opts = bench::run_opts(++seed);
+    opts.workspace = &ws;
+    benchmark::DoNotOptimize(run_nmm_2eps_matching(g, opts));
+  }
+}
+BENCHMARK(BM_NmmLineWorkspaceRun)->Unit(benchmark::kMicrosecond);
+
+/// The table1-cold mwm-2eps row (gnp:1500:0.005, ε = 0.25): about 60 NMM
+/// bucket runs on compact bucket graphs, fresh buffers per run ...
+void BM_Mwm2EpsFreshRun(benchmark::State& state) {
+  Rng rng(10);
+  const Graph g = gen::from_spec("gnp:1500:0.005", rng);
+  const EdgeWeights w = gen::uniform_edge_weights(g.num_edges(), 1024, rng);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        run_weighted_2eps_matching(g, w, bench::run_opts(++seed)));
+  }
+}
+BENCHMARK(BM_Mwm2EpsFreshRun)->Unit(benchmark::kMillisecond);
+
+/// ... against one kept workspace.
+void BM_Mwm2EpsWorkspaceRun(benchmark::State& state) {
+  Rng rng(10);
+  const Graph g = gen::from_spec("gnp:1500:0.005", rng);
+  const EdgeWeights w = gen::uniform_edge_weights(g.num_edges(), 1024, rng);
+  sim::Workspace ws;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    sim::RunOptions opts = bench::run_opts(++seed);
+    opts.workspace = &ws;
+    benchmark::DoNotOptimize(run_weighted_2eps_matching(g, w, opts));
+  }
+}
+BENCHMARK(BM_Mwm2EpsWorkspaceRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace distapx

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -189,7 +190,7 @@ sim::ProgramFactory make_linial_program(const Graph& g) {
 
 ColoringResult linial_coloring(const Graph& g, const sim::RunOptions& opts) {
   // Colors start as raw ids (log n bits) and shrink; O(log n) per message.
-  const auto result = sim::Network(g).run(make_linial_program(g), opts);
+  const auto result = sim::run_network(g, make_linial_program(g), opts);
   ColoringResult out;
   out.metrics = result.metrics;
   out.colors.resize(g.num_nodes());

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -89,10 +90,10 @@ class TrialColoringProgram final : public sim::NodeProgram {
 
 ColoringResult randomized_coloring(const Graph& g,
                                    const sim::RunOptions& opts) {
-  sim::Network net(g);
   const int color_bits =
       bits_for_count(std::uint64_t{g.max_degree()} + 1);
-  const auto result = net.run(
+  const auto result = sim::run_network(
+      g,
       [color_bits](NodeId) {
         return std::make_unique<TrialColoringProgram>(color_bits);
       },

@@ -155,8 +155,9 @@ DetLrMatchingResult run_lr_matching_deterministic(
   // of G) via the deterministic Linial substrate on the explicit line
   // graph. Simulating it on G costs a constant factor per round ([Kuh05]);
   // we report its metrics separately like Algorithm 3 charges [BEK14].
+  // The simulation runs on G's network, so G's n sets the CONGEST cap.
   const LineGraph lg(g);
-  const auto coloring = linial_coloring(lg.graph(), opts);
+  const auto coloring = linial_coloring(lg.graph(), sim::within(opts, g));
   out.coloring_metrics = coloring.metrics;
   out.num_colors = coloring.num_colors;
   if (!coloring.metrics.completed) return out;

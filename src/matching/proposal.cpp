@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "graph/algos.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
 
@@ -142,8 +143,8 @@ ProposalResult run_proposal_matching_bipartite(const Graph& g,
       proposal_iteration_budget(g.max_degree(), params);
   sim::RunOptions capped = opts;
   capped.max_rounds = std::min(opts.max_rounds, 2 * iters + 4);
-  sim::Network net(g);
-  const auto run = net.run(
+  const auto run = sim::run_network(
+      g,
       [&parts, iters](NodeId v) {
         return std::make_unique<ProposalProgram>(parts.is_left(v), iters);
       },

@@ -23,7 +23,10 @@ class BucketedMwm {
  public:
   BucketedMwm(const Graph& g, const Weighted2EpsParams& params,
               const sim::RunOptions& opts)
-      : g_(&g), params_(params), opts_(&opts) {}
+      : g_(&g),
+        params_(params),
+        opts_(sim::within(opts, g)),
+        new_id_(g.num_nodes()) {}
 
   /// Runs the [LPSR09] bucketing on weights `w`; returns a matching that is
   /// an O(1)-approximation of MWM w.r.t. `w`. Ignores edges with w <= 0.
@@ -72,25 +75,23 @@ class BucketedMwm {
         if (edges.empty()) continue;
         // Surviving edges of this small bucket: endpoints untouched within
         // this big bucket.
-        std::vector<bool> mask(g_->num_edges(), false);
-        bool any = false;
+        survivors_.clear();
         for (EdgeId e : edges) {
           const auto [u, v] = g_->endpoints(e);
           if (!big_node_taken[b][u] && !big_node_taken[b][v]) {
-            mask[e] = true;
-            any = true;
+            survivors_.push_back(e);
           }
         }
-        if (!any) continue;
-        const auto sub = edge_subgraph(*g_, mask);
+        if (survivors_.empty()) continue;
+        const Graph sub = compact_subgraph();
         Nmm2EpsParams nmm;
         nmm.epsilon = params_.epsilon;
         const auto found = run_nmm_2eps_matching(
-            sub.graph, sim::sub_run(*opts_, seeder.next(), metrics), nmm);
+            sub, sim::sub_run(opts_, seeder.next(), metrics), nmm);
         sim::accumulate(metrics, found.metrics);
         sweep_rounds = std::max(sweep_rounds, found.metrics.rounds);
         for (EdgeId se : found.matching) {
-          const EdgeId e = sub.original_edge[se];
+          const EdgeId e = survivors_[se];
           per_big_chosen[b].push_back(e);
           const auto [u, v] = g_->endpoints(e);
           big_node_taken[b][u] = true;
@@ -132,9 +133,36 @@ class BucketedMwm {
   }
 
  private:
+  /// The bucket graph of survivors_: only their endpoints, relabelled in
+  /// ascending order, and edge i = survivors_[i]. A monotone relabelling
+  /// keeps every adjacency order, line-hub order and per-edge RNG stream
+  /// of the full-n edge subgraph, so the NMM run is the same; opts_ keeps
+  /// the cap at the job graph's n.
+  Graph compact_subgraph() {
+    nodes_.clear();
+    for (EdgeId e : survivors_) {
+      const auto [u, v] = g_->endpoints(e);
+      nodes_.push_back(u);
+      nodes_.push_back(v);
+    }
+    std::sort(nodes_.begin(), nodes_.end());
+    nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+    for (NodeId i = 0; i < nodes_.size(); ++i) new_id_[nodes_[i]] = i;
+    GraphBuilder b(static_cast<NodeId>(nodes_.size()));
+    for (EdgeId e : survivors_) {
+      const auto [u, v] = g_->endpoints(e);
+      b.add_edge(new_id_[u], new_id_[v]);
+    }
+    return b.build();
+  }
+
   const Graph* g_;
   Weighted2EpsParams params_;
-  const sim::RunOptions* opts_;
+  sim::RunOptions opts_;
+  // Per-run scratch of the bucket sweeps.
+  std::vector<EdgeId> survivors_;  ///< current bucket, ascending EdgeId
+  std::vector<NodeId> nodes_;      ///< their endpoints, ascending
+  std::vector<NodeId> new_id_;     ///< job node -> bucket node
 };
 
 }  // namespace

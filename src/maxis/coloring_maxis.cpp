@@ -5,6 +5,7 @@
 
 #include "coloring/linial.hpp"
 #include "coloring/rand_coloring.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -87,8 +88,8 @@ ColoringMaxIsResult run_coloring_maxis_with(const Graph& g,
   const int color_bits = bits_for_count(std::max<Color>(num_colors, 2));
   const int reduce_bits = bits_for_value(static_cast<std::uint64_t>(max_w));
 
-  sim::Network net(g);
-  const auto run = net.run(
+  const auto run = sim::run_network(
+      g,
       [&](NodeId v) {
         return std::make_unique<ColoringMaxIsProgram>(
             w[v], colors[v], color_bits, reduce_bits);

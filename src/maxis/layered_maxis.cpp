@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -174,9 +175,8 @@ MaxIsResult run_layered_maxis(const Graph& g, const NodeWeights& w,
                               LayeredMaxIsParams params) {
   const Weight max_w =
       w.empty() ? 1 : *std::max_element(w.begin(), w.end());
-  sim::Network net(g);
-  const auto result =
-      net.run(make_layered_maxis_program(g, w, max_w, params), opts);
+  const auto result = sim::run_network(
+      g, make_layered_maxis_program(g, w, max_w, params), opts);
   MaxIsResult out;
   out.metrics = result.metrics;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

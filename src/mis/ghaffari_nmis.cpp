@@ -7,6 +7,7 @@
 
 #include "graph/algos.hpp"
 #include "mis/luby.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -27,10 +28,6 @@ std::uint64_t prob_fx(std::uint32_t K, std::uint32_t j) {
   return kFx / denom;
 }
 
-double prob_double(std::uint32_t K, std::uint32_t j) {
-  return std::pow(static_cast<double>(K), -static_cast<double>(j));
-}
-
 enum MsgType : std::uint32_t {
   kExponent = 1,
   kMarked = 2,
@@ -40,8 +37,12 @@ enum MsgType : std::uint32_t {
 
 class NmisProgram final : public sim::NodeProgram {
  public:
-  NmisProgram(NmisParams params, std::uint32_t iterations, int exp_bits)
-      : params_(params), iterations_(iterations), exp_bits_(exp_bits) {}
+  NmisProgram(NmisParams params, std::uint32_t iterations, int exp_bits,
+              const std::vector<double>* mark_prob)
+      : params_(params),
+        iterations_(iterations),
+        exp_bits_(exp_bits),
+        mark_prob_(mark_prob) {}
 
   void init(sim::Ctx& ctx) override {
     alive_.assign(ctx.degree(), true);
@@ -92,7 +93,7 @@ class NmisProgram final : public sim::NodeProgram {
                           static_cast<std::uint32_t>(d.msg.field(0)));
         }
         high_degree_ = d_fx >= 2 * kFx;
-        marked_ = ctx.rng().bernoulli(prob_double(params_.K, exponent_));
+        marked_ = ctx.rng().bernoulli((*mark_prob_)[exponent_]);
         if (marked_) {
           send_alive(ctx, sim::Message(kMarked));
         }
@@ -139,6 +140,7 @@ class NmisProgram final : public sim::NodeProgram {
   NmisParams params_;
   std::uint32_t iterations_;
   int exp_bits_;
+  const std::vector<double>* mark_prob_;  ///< K^-j, shared by all nodes
   std::uint32_t exponent_ = 1;  // p = K^{-exponent}
   std::uint32_t iteration_ = 0;
   bool marked_ = false;
@@ -162,19 +164,30 @@ std::uint32_t nmis_iteration_budget(std::uint32_t max_degree,
       std::ceil(params.beta * (term1 + term2))) + 1;
 }
 
+std::vector<double> nmis_mark_probabilities(std::uint32_t K, int exp_bits) {
+  std::vector<double> prob(std::size_t{1} << exp_bits);
+  for (std::size_t j = 0; j < prob.size(); ++j) {
+    prob[j] = std::pow(static_cast<double>(K), -static_cast<double>(j));
+  }
+  return prob;
+}
+
 sim::ProgramFactory make_nmis_program(const Graph& g, NmisParams params) {
   const std::uint32_t iters = nmis_iteration_budget(g.max_degree(), params);
   const int exp_bits =
       std::max(4, bits_for_value(static_cast<std::uint64_t>(iters) + 1));
-  return [params, iters, exp_bits](NodeId) {
-    return std::make_unique<NmisProgram>(params, iters, exp_bits);
+  const auto mark_prob = std::make_shared<const std::vector<double>>(
+      nmis_mark_probabilities(params.K, exp_bits));
+  return [params, iters, exp_bits, mark_prob](NodeId) {
+    return std::make_unique<NmisProgram>(params, iters, exp_bits,
+                                         mark_prob.get());
   };
 }
 
 IsResult run_nmis(const Graph& g, const sim::RunOptions& opts,
                   NmisParams params) {
-  sim::Network net(g);
-  const auto result = net.run(make_nmis_program(g, params), opts);
+  const auto result =
+      sim::run_network(g, make_nmis_program(g, params), opts);
   return collect_is(result.outputs, result.metrics);
 }
 

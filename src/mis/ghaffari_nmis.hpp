@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mis/mis.hpp"
 #include "sim/network.hpp"
@@ -41,6 +42,11 @@ struct NmisParams {
 /// Theorem 3.1 iteration budget: beta * (log Δ / log K + K^2 ln(1/δ)).
 std::uint32_t nmis_iteration_budget(std::uint32_t max_degree,
                                     const NmisParams& params);
+
+/// K^-j as std::pow(K, -j) for every marking exponent j an `exp_bits`-wide
+/// field can hold, [0, 2^exp_bits). A lookup is bit-identical to the call
+/// it replaces.
+std::vector<double> nmis_mark_probabilities(std::uint32_t K, int exp_bits);
 
 /// Factory for the message-passing NMIS node program (3 rounds/iteration).
 sim::ProgramFactory make_nmis_program(const Graph& g, NmisParams params);

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
@@ -105,8 +106,7 @@ sim::ProgramFactory make_luby_program(const Graph& g) {
 }
 
 IsResult run_luby_mis(const Graph& g, const sim::RunOptions& opts) {
-  sim::Network net(g);
-  const auto result = net.run(make_luby_program(g), opts);
+  const auto result = sim::run_network(g, make_luby_program(g), opts);
   return collect_is(result.outputs, result.metrics);
 }
 

@@ -1,7 +1,6 @@
 #include "mis/nmis_agg.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
@@ -40,7 +39,8 @@ NmisAggProgram::NmisAggProgram(std::uint32_t max_degree, NmisParams params)
     : params_(params),
       iterations_(nmis_iteration_budget(max_degree, params)),
       exp_bits_(std::max(
-          4, bits_for_value(static_cast<std::uint64_t>(iterations_) + 1))) {}
+          4, bits_for_value(static_cast<std::uint64_t>(iterations_) + 1))),
+      mark_prob_(nmis_mark_probabilities(params.K, exp_bits_)) {}
 
 std::vector<int> NmisAggProgram::state_bits() const {
   return {2, exp_bits_, 1, std::max(4, bits_for_value(iterations_ + 1))};
@@ -75,8 +75,8 @@ void NmisAggProgram::init(sim::AggCtx& ctx) {
     ctx.halt(kOutInIs);
     return;
   }
-  st[kMarked] = static_cast<std::uint64_t>(
-      ctx.rng().bernoulli(std::pow(static_cast<double>(params_.K), -1.0)));
+  st[kMarked] =
+      static_cast<std::uint64_t>(ctx.rng().bernoulli(mark_prob_[1]));
 }
 
 void NmisAggProgram::round(sim::AggCtx& ctx) {
@@ -108,9 +108,8 @@ void NmisAggProgram::round(sim::AggCtx& ctx) {
   } else if (st[kExponent] > 1) {
     --st[kExponent];
   }
-  st[kMarked] = static_cast<std::uint64_t>(ctx.rng().bernoulli(
-      std::pow(static_cast<double>(params_.K),
-               -static_cast<double>(st[kExponent]))));
+  st[kMarked] = static_cast<std::uint64_t>(
+      ctx.rng().bernoulli(mark_prob_[st[kExponent]]));
 }
 
 IsResult run_nmis_agg_on_nodes(const Graph& g, const sim::RunOptions& opts,

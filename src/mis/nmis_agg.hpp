@@ -35,6 +35,7 @@ class NmisAggProgram final : public sim::AggProgram {
   NmisParams params_;
   std::uint32_t iterations_;
   int exp_bits_;
+  std::vector<double> mark_prob_;  ///< nmis_mark_probabilities
 };
 
 /// NMIS via aggregation on the nodes of g (reference / testing).

@@ -13,6 +13,7 @@
 #include "maxis/layered_maxis.hpp"
 #include "mis/ghaffari_nmis.hpp"
 #include "mis/luby.hpp"
+#include "sim/workspace.hpp"
 
 namespace distapx::service {
 
@@ -29,14 +30,12 @@ RunRow row_from(const sim::RunMetrics& m, std::uint64_t seed) {
   return row;
 }
 
-/// Runs a single-program IS algorithm on the worker's leased Network and
-/// scores the IS against `score_weights` (nullptr = cardinality).
-RunRow run_is_program(const ResolvedJob& job, NetworkLease& lease,
-                      const sim::RunOptions& opts,
+/// Runs a single-program IS algorithm on the job graph and scores the IS
+/// against `score_weights` (nullptr = cardinality).
+RunRow run_is_program(const ResolvedJob& job, const sim::RunOptions& opts,
                       const sim::ProgramFactory& factory,
                       const NodeWeights* score_weights, RunDetail* detail) {
-  auto& net = lease.acquire(job.graph);
-  const auto r = net.run(factory, opts);
+  const auto r = sim::run_network(job.graph, factory, opts);
   RunRow row = row_from(r.metrics, opts.seed);
   std::uint64_t undecided = 0;
   for (NodeId v = 0; v < job.graph.num_nodes(); ++v) {
@@ -65,33 +64,33 @@ RunRow matching_row(const std::vector<EdgeId>& matching,
 
 constexpr Algorithm kAlgorithms[] = {
     {"luby", "Luby's MIS",
-     [](const ResolvedJob& job, NetworkLease& lease,
-        const sim::RunOptions& opts, RunDetail* detail) {
-       return run_is_program(job, lease, opts, make_luby_program(job.graph),
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
+        RunDetail* detail) {
+       return run_is_program(job, opts, make_luby_program(job.graph),
                              nullptr, detail);
      }},
     {"nmis", "nearly-maximal IS (Sec 3.1)",
-     [](const ResolvedJob& job, NetworkLease& lease,
-        const sim::RunOptions& opts, RunDetail* detail) {
-       return run_is_program(job, lease, opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
+        RunDetail* detail) {
+       return run_is_program(job, opts,
                              make_nmis_program(job.graph, NmisParams{}),
                              nullptr, detail);
      }},
     {"maxis-alg2", "Δ-approx weighted MaxIS, randomized (Thm 2.3)",
-     [](const ResolvedJob& job, NetworkLease& lease,
-        const sim::RunOptions& opts, RunDetail* detail) {
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
+        RunDetail* detail) {
        const Weight max_w =
            job.node_weights.empty()
                ? 1
                : *std::max_element(job.node_weights.begin(),
                                    job.node_weights.end());
        return run_is_program(
-           job, lease, opts,
+           job, opts,
            make_layered_maxis_program(job.graph, job.node_weights, max_w),
            &job.node_weights, detail);
      }},
     {"maxis-alg3", "Δ-approx weighted MaxIS, deterministic (Sec 2.3)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        const auto r = run_coloring_maxis(job.graph, job.node_weights,
                                          ColoringSource::kLinial, opts);
@@ -106,14 +105,14 @@ constexpr Algorithm kAlgorithms[] = {
        return row;
      }},
     {"mwm-lr", "2-approx MWM, randomized (Thm 2.10)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        const auto r = run_lr_matching(job.graph, job.edge_weights, opts);
        return matching_row(r.matching, &job.edge_weights,
                            row_from(r.metrics, opts.seed), detail);
      }},
     {"mwm-lr-det", "2-approx MWM, deterministic (Thm 2.10)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        const auto r =
            run_lr_matching_deterministic(job.graph, job.edge_weights, opts);
@@ -124,7 +123,7 @@ constexpr Algorithm kAlgorithms[] = {
        return matching_row(r.matching, &job.edge_weights, row, detail);
      }},
     {"mcm-2eps", "(2+ε)-approx MCM (Thm 3.2)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        Nmm2EpsParams p;
        p.epsilon = job.spec.eps;
@@ -137,7 +136,7 @@ constexpr Algorithm kAlgorithms[] = {
                            row_from(r.metrics, opts.seed), detail);
      }},
     {"mwm-2eps", "(2+ε)-approx MWM (App B.1)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        Weighted2EpsParams p;
        p.epsilon = job.spec.eps;
@@ -148,7 +147,7 @@ constexpr Algorithm kAlgorithms[] = {
                            row_from(r.metrics, opts.seed), detail);
      }},
     {"mcm-1eps", "(1+ε)-approx MCM (Thm B.12)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        McmCongestParams p;
        p.epsilon = job.spec.eps;
@@ -164,7 +163,7 @@ constexpr Algorithm kAlgorithms[] = {
        return matching_row(r.matching, nullptr, row, detail);
      }},
     {"proposal", "(2+ε)-approx MCM via proposals (App B.4)",
-     [](const ResolvedJob& job, NetworkLease&, const sim::RunOptions& opts,
+     [](const ResolvedJob& job, const sim::RunOptions& opts,
         RunDetail* detail) {
        ProposalParams p;
        p.epsilon = job.spec.eps;

@@ -34,8 +34,10 @@ struct RunDetail {
 struct Algorithm {
   std::string_view name;
   std::string_view paper_ref;  ///< one line, e.g. "... (Thm 2.3)"
-  RunRow (*run)(const ResolvedJob& job, NetworkLease& lease,
-                const sim::RunOptions& opts, RunDetail* detail);
+  /// Runs in opts.workspace when the caller passes one (the batch
+  /// server's worker), else in a local workspace.
+  RunRow (*run)(const ResolvedJob& job, const sim::RunOptions& opts,
+                RunDetail* detail);
 };
 
 /// Every entry, in the order usage text and scripts list them.

@@ -142,11 +142,13 @@ BatchResult BatchServer::serve() {
       jobs_materialized.inc();
     });
   };
-  auto timed_dispatch = [&](const ResolvedJob& job, NetworkLease& lease,
+  auto timed_dispatch = [&](const ResolvedJob& job, sim::Workspace& ws,
                             std::uint64_t seed, std::uint32_t job_index) {
     const auto t0 = std::chrono::steady_clock::now();
-    RunRow row = job.algorithm->run(job, lease, job.spec.run_options(seed),
-                                    opts_.detail);
+    sim::RunOptions run_opts = job.spec.run_options(seed);
+    run_opts.workspace = &ws;
+    ws.hold(job.graph);  // alive and unchanged until this serve() ends
+    RunRow row = job.algorithm->run(job, run_opts, opts_.detail);
     job_hist[job_index]->observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -154,9 +156,20 @@ BatchResult BatchServer::serve() {
     runs_computed.inc();
     return row;
   };
+  std::span<sim::Workspace> workspaces = opts_.workspaces;
+  const unsigned threads = sim::resolve_threads(opts_.threads, units.size());
+  if (workspaces.empty()) {
+    if (workspaces_.size() < threads) workspaces_.resize(threads);
+    workspaces = workspaces_;
+  }
+  workspaces =
+      workspaces.first(std::min<std::size_t>(threads, workspaces.size()));
+  // Graph addresses repeat across requests (jobs_ and the graphs of an
+  // earlier serve() may be gone), so no binding survives into this one.
+  for (sim::Workspace& ws : workspaces) ws.reset();
   const trace::Context trace_context{opts_.trace, opts_.trace_parent};
-  const unsigned workers = sim::for_each_index<NetworkLease>(
-      units.size(), opts_.threads, [&](NetworkLease& lease, std::size_t i) {
+  const unsigned workers = sim::for_each_index(
+      units.size(), workspaces, [&](sim::Workspace& ws, std::size_t i) {
         // Spawned workers start with no trace context of their own, so the
         // job's collector is installed explicitly for every unit.
         const trace::ContextGuard trace_guard(trace_context);
@@ -185,7 +198,7 @@ BatchResult BatchServer::serve() {
           trace::ScopedSpan span("compute");
           span.annotate("algo", job.spec.algorithm);
           span.annotate("seed", seed);
-          rows[u.job][u.run] = timed_dispatch(job, lease, seed, u.job);
+          rows[u.job][u.run] = timed_dispatch(job, ws, seed, u.job);
         }
         if (key) {
           try {

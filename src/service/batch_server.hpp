@@ -8,10 +8,14 @@
 // long job's tail does not idle the threads that finished a short job (the
 // win bench_batch_serving measures).
 //
-// Each worker owns one reusable sim::Network through a NetworkLease and
-// rebinds it only when the unit it picked up belongs to a different graph
-// than the previous one — serving heterogeneous jobs back-to-back settles
-// into zero allocation once the largest graph in the mix has been seen.
+// Worker t runs every unit it picks up in workspace t (sim/workspace.hpp):
+// a Network that stays bound while consecutive units share a job graph,
+// and the aggregation engine's buffers. The workspaces belong to the
+// worker's owner — a socket lane passes its own set in
+// BatchOptions::workspaces, and a BatchServer without one keeps its own
+// for all its serve() calls — so the buffers settle per owner, not per
+// serve(): serving heterogeneous jobs back-to-back stops allocating engine
+// buffers once the largest run in the mix has been seen.
 //
 // Determinism contract (tested by test_batch_server.cpp): RunRow i of job
 // j depends only on (spec_j, seed) — never on the thread count, on
@@ -20,11 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "service/job_spec.hpp"
-#include "sim/network.hpp"
+#include "sim/workspace.hpp"
 #include "support/fingerprint.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -83,23 +88,6 @@ struct ResolvedJob {
 /// on an invalid spec before any graph is built, gen::SpecError /
 /// EnsureError on a malformed generator spec or unreadable graph file.
 ResolvedJob resolve_job(JobSpec spec);
-
-/// Per-worker cache of one reusable Network, rebound lazily as the worker
-/// serves work units from different jobs.
-class NetworkLease {
- public:
-  sim::Network& acquire(const Graph& g) {
-    if (bound_ != &g) {
-      net_.rebind(g);
-      bound_ = &g;
-    }
-    return net_;
-  }
-
- private:
-  sim::Network net_;
-  const Graph* bound_ = nullptr;
-};
 
 struct JobResult {
   std::string name;
@@ -163,6 +151,12 @@ struct BatchOptions {
   /// thread-safe, so all workers share it.
   trace::Collector* trace = nullptr;
   std::uint32_t trace_parent = 0;
+  /// The caller's workspaces, one per worker: workers = min(threads,
+  /// workspaces.size()). Their bindings are reset at the start of every
+  /// serve(), since the graphs of earlier requests are gone. Empty = the
+  /// server's own set, kept across its serve() calls. Not owned; must
+  /// outlive serve().
+  std::span<sim::Workspace> workspaces = {};
   /// Optional sink for the computed run's RunDetail (solution ids and
   /// algorithm-specific facts). Only for a batch of exactly one (job,
   /// seed) unit — the CLI single run. Not owned; must outlive serve().
@@ -200,6 +194,7 @@ class BatchServer {
  private:
   BatchOptions opts_;
   std::vector<ResolvedJob> jobs_;
+  std::vector<sim::Workspace> workspaces_;  ///< when opts_ names none
   std::uint64_t built_at_submit_ = 0;  ///< not yet counted by a serve()
 };
 

@@ -12,6 +12,7 @@
 
 #include "graph/genspec.hpp"
 #include "service/cache_manager.hpp"
+#include "support/fdio.hpp"
 #include "support/trace.hpp"
 
 namespace distapx::service {
@@ -116,31 +117,20 @@ EntryStatus decode(const std::vector<unsigned char>& buf,
   return EntryStatus::kOk;
 }
 
-/// fdatasync of a written (and closed) file, so a rename never publishes
-/// an entry whose data blocks are not on stable storage. False on an open
-/// or sync failure.
-bool sync_file_data(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
+/// fdatasync (a file's data) or fsync (a directory, whose metadata is the
+/// data here) of `fd`, retried on EINTR. False on failure.
+bool sync_fd(int fd, bool data_only) {
   int rc;
   do {
-    rc = ::fdatasync(fd);
+    rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
   } while (rc != 0 && errno == EINTR);
-  ::close(fd);
   return rc == 0;
 }
 
 /// fsync of a directory, so a rename inside it survives a power loss.
-/// fsync, not fdatasync: the directory's metadata is the data here.
 bool sync_dir(const fs::path& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return false;
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  ::close(fd);
-  return rc == 0;
+  const fdio::Fd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  return fd.get() >= 0 && sync_fd(fd.get(), /*data_only=*/false);
 }
 
 bool is_hex_lower(std::string_view s) {
@@ -352,23 +342,28 @@ void ResultCache::store(const Fingerprint& key, const RunRow& row,
       path + ".tmp." + std::to_string(::getpid()) + "." +
       std::to_string(temp_counter_.fetch_add(1, std::memory_order_relaxed));
   const auto buf = encode(key, row, facts);
+  // One descriptor writes the temp entry and syncs it. Entry data must be
+  // on stable storage before the rename publishes the name: a power loss
+  // after an unsynced rename can surface an empty or torn entry under a
+  // valid name (check_entry_file would reject it, but the recompute it
+  // forces is exactly what the cache exists to avoid).
   {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
-    if (!os) {
-      os.close();
-      fs::remove(tmp, ec);
-      throw JobError("cannot write cache entry " + tmp);
+    fdio::Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                       0666));
+    if (fd.get() < 0) throw JobError("cannot write cache entry " + tmp);
+    const char* failed = nullptr;
+    if (!fdio::write_fully(fd.get(), buf.data(), buf.size())) {
+      failed = "cannot write cache entry ";
+    } else if (!sync_fd(fd.get(), /*data_only=*/true)) {
+      failed = "cannot sync cache entry ";
+    } else if (::close(fd.release()) != 0) {
+      failed = "cannot write cache entry ";
     }
-  }
-  // Entry data must be on stable storage before the rename publishes the
-  // name: a power loss after an unsynced rename can surface an empty or
-  // torn entry under a valid name (check_entry_file would reject it, but
-  // the recompute it forces is exactly what the cache exists to avoid).
-  if (!sync_file_data(tmp)) {
-    fs::remove(tmp, ec);
-    throw JobError("cannot sync cache entry " + tmp);
+    if (failed != nullptr) {
+      fd.reset();
+      fs::remove(tmp, ec);
+      throw JobError(failed + tmp);
+    }
   }
   fs::rename(tmp, path, ec);
   if (ec) {
@@ -376,8 +371,12 @@ void ResultCache::store(const Fingerprint& key, const RunRow& row,
     throw JobError("cannot publish cache entry " + path + ": " +
                    ec.message());
   }
-  // And the rename itself (the directory entry) must survive too.
-  sync_dir(fs::path(path).parent_path());
+  // And the rename itself (the directory entry) must survive too. The
+  // entry stays in place (its data is synced), but a store whose rename a
+  // power loss could still undo is neither reported nor counted.
+  if (!sync_dir(fs::path(path).parent_path())) {
+    throw JobError("cannot sync cache directory of " + path);
+  }
   stores_.inc();
   if (manager_) {
     manager_->record_put(key, buf.size());

@@ -9,8 +9,10 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -21,6 +23,8 @@
 #include "service/batch_server.hpp"
 #include "service/job_spec.hpp"
 #include "service/report_sink.hpp"
+#include "sim/run_many.hpp"
+#include "sim/workspace.hpp"
 #include "support/log.hpp"
 
 namespace distapx::service {
@@ -222,7 +226,8 @@ SocketServerStats SocketServer::run() {
   std::vector<Completion> completions;  // guarded by mu
   bool lanes_exit = false;              // guarded by mu
 
-  const auto execute = [this](PendingJob& job, std::uint32_t exec_span) {
+  const auto execute = [this](PendingJob& job, std::uint32_t exec_span,
+                               std::span<sim::Workspace> workspaces) {
     Completion done;
     done.conn_id = job.conn_id;
     done.conn_seq = job.conn_seq;
@@ -236,6 +241,7 @@ SocketServerStats SocketServer::run() {
       // off this lane's execute span.
       batch_opts.trace = job.tracer.get();
       batch_opts.trace_parent = exec_span;
+      batch_opts.workspaces = workspaces;
       BatchServer server(batch_opts);
       server.submit_all(parse_job_file(is));
       if (server.num_jobs() == 0) throw JobError("job file contains no jobs");
@@ -271,6 +277,10 @@ SocketServerStats SocketServer::run() {
   };
 
   const auto lane_loop = [&] {
+    // The lane's engine buffers, one workspace per worker of its SUBMITs:
+    // they outlive every request the lane serves.
+    std::vector<sim::Workspace> workspaces(sim::resolve_threads(
+        opts_.threads, std::numeric_limits<std::size_t>::max()));
     for (;;) {
       PendingJob job;
       {
@@ -299,7 +309,7 @@ SocketServerStats SocketServer::run() {
         exec_span = tr->begin("lane-execute");
       }
       const auto exec_start = Clock::now();
-      Completion done = execute(job, exec_span);
+      Completion done = execute(job, exec_span, workspaces);
       const auto exec_end = Clock::now();
       if (tr != nullptr) {
         if (!done.ok) tr->annotate(exec_span, "outcome", "error");

@@ -80,7 +80,10 @@ struct SocketServerOptions {
   /// given (lanes beyond the core count still provide head-of-line
   /// isolation — a long sweep timeshares instead of serializing).
   /// A lane's own thread is one of its SUBMIT's `threads` workers, so
-  /// total worker threads can momentarily reach lanes x threads.
+  /// total worker threads can momentarily reach lanes x threads. Each
+  /// lane keeps one sim::Workspace per worker for its lifetime, so the
+  /// engine buffers retained are at most lanes x threads x the largest
+  /// run's working set — the concurrent peak of the runs themselves.
   unsigned lanes = 0;
   /// Result-cache directory; empty = serve without a cache.
   std::string cache_dir;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 
 namespace distapx::sim {
@@ -54,20 +55,19 @@ std::uint64_t join(std::uint64_t x, std::uint64_t y) {
   }
 }
 
-/// Shared engine for both agent topologies.
+/// Shared engine for both agent topologies. Per super-round it touches
+/// live work only: the live agents step (in ascending id), each agent's
+/// extracted values are refreshed right after it steps (a halted agent's
+/// frozen values keep feeding its neighbours' folds), folds run for live
+/// agents only, and live counts replace the per-round halted scans.
 class AggEngine {
  public:
   enum class Mode { kNodes, kLine, kLineNaive };
 
-  AggEngine(const Graph& g, AggProgram& prog, Mode mode)
-      : g_(&g), prog_(&prog), mode_(mode) {
+  AggEngine(const Graph& g, AggProgram& prog, Mode mode, AggScratch& scratch)
+      : g_(&g), prog_(&prog), mode_(mode), s_(&scratch) {
     num_agents_ =
         mode == Mode::kNodes ? g.num_nodes() : g.num_edges();
-    if (mode != Mode::kNodes) {
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (g.degree(v) > 0) line_hubs_.push_back(v);
-      }
-    }
     field_bits_ = prog.state_bits();
     DISTAPX_ENSURE(!field_bits_.empty());
     state_total_bits_ = 0;
@@ -84,64 +84,67 @@ class AggEngine {
   }
 
   AggRunResult run(const RunOptions& opts) {
+    AggScratch& s = *s_;
     const std::size_t fields = field_bits_.size();
-    states_.assign(static_cast<std::size_t>(num_agents_) * fields, 0);
-    halted_.assign(num_agents_, false);
-    outputs_.assign(num_agents_, 0);
-    rngs_.clear();
-    rngs_.reserve(num_agents_);
+    const std::size_t na = aggs_.size();
+    s.states.assign(static_cast<std::size_t>(num_agents_) * fields, 0);
+    s.halted.assign(num_agents_, 0);
+    s.rngs.clear();
+    s.rngs.reserve(num_agents_);
     const Rng root(opts.seed);
     for (std::uint32_t a = 0; a < num_agents_; ++a) {
       // Distinct tag keeps line-agent streams independent of node streams.
-      rngs_.push_back(root.split(
+      s.rngs.push_back(root.split(
           mode_ == Mode::kNodes ? a : (std::uint64_t{1} << 33) + a));
+    }
+    // Every slot a fold reads is written by the agent's own step first.
+    s.extracted.resize(na * num_agents_);
+    s.aggregates.resize(static_cast<std::size_t>(num_agents_) * na);
+    s.live.resize(num_agents_);
+    std::iota(s.live.begin(), s.live.end(), 0u);
+    live_dir_edges_ = 0;
+    if (mode_ == Mode::kNodes) {
+      live_dir_edges_ = 2ull * g_->num_edges();
+    } else {
+      s.live_incident.resize(g_->num_nodes());
+      s.hubs.clear();
+      for (NodeId v = 0; v < g_->num_nodes(); ++v) {
+        s.live_incident[v] = g_->degree(v);
+        if (g_->degree(v) > 0) s.hubs.push_back(v);
+      }
     }
 
     AggRunResult result;
-    result.metrics.bandwidth_cap = opts.policy.cap_bits(g_->num_nodes());
+    result.outputs.assign(num_agents_, 0);
+    result.metrics.bandwidth_cap = opts.cap_bits(g_->num_nodes());
     if (mode_ != Mode::kLineNaive) {
       check_widths(opts, result.metrics.bandwidth_cap);
     }
 
     // init sweep (no aggregates yet)
-    for (std::uint32_t a = 0; a < num_agents_; ++a) {
-      step_agent(a, 0, {}, /*is_init=*/true);
-    }
-    account_round(result.metrics);
+    sweep(0, /*is_init=*/true, result.outputs);
+    account_and_observe(opts, result.metrics);
 
     const std::uint32_t phys_per_super = mode_ == Mode::kLine ? 2 : 1;
     std::uint32_t super = 0;
-    while (!all_halted() &&
+    while (!s.live.empty() &&
            result.metrics.rounds + phys_per_super <= opts.max_rounds) {
       ++super;
       compute_aggregates();
-      for (std::uint32_t a = 0; a < num_agents_; ++a) {
-        if (halted_[a]) continue;
-        const std::size_t off = static_cast<std::size_t>(a) * aggs_.size();
-        step_agent(a, super,
-                   std::span<const std::uint64_t>(agg_buf_.data() + off,
-                                                  aggs_.size()),
-                   /*is_init=*/false);
-      }
-      account_round(result.metrics);
+      sweep(super, /*is_init=*/false, result.outputs);
       result.metrics.rounds += phys_per_super;
+      account_and_observe(opts, result.metrics);
     }
     result.super_rounds = super;
-    result.metrics.completed = all_halted();
-    result.outputs = std::move(outputs_);
-    result.halted.assign(halted_.begin(), halted_.end());
+    result.metrics.completed = s.live.empty();
+    result.halted.assign(s.halted.begin(), s.halted.end());
     return result;
   }
 
  private:
   [[nodiscard]] std::span<std::uint64_t> state_of(std::uint32_t a) {
     const std::size_t fields = field_bits_.size();
-    return {states_.data() + static_cast<std::size_t>(a) * fields, fields};
-  }
-
-  [[nodiscard]] bool all_halted() const {
-    return std::all_of(halted_.begin(), halted_.end(),
-                       [](char h) { return h != 0; });
+    return {s_->states.data() + static_cast<std::size_t>(a) * fields, fields};
   }
 
   void check_widths(const RunOptions& opts, std::uint32_t cap) const {
@@ -157,19 +160,47 @@ class AggEngine {
                            << cap);
   }
 
-  void step_agent(std::uint32_t a, std::uint32_t round,
-                  std::span<const std::uint64_t> aggregates, bool is_init) {
-    AggCtx ctx(a, round, agent_degree(a), &rngs_[a], aggregates, state_of(a));
-    if (is_init) {
-      prog_->init(ctx);
-    } else {
-      prog_->round(ctx);
+  /// Steps every live agent once, in ascending id, and drops the ones
+  /// that halted from the live list.
+  void sweep(std::uint32_t round, bool is_init,
+             std::vector<std::int64_t>& outputs) {
+    AggScratch& s = *s_;
+    const std::size_t na = aggs_.size();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < s.live.size(); ++i) {
+      const std::uint32_t a = s.live[i];
+      AggCtx ctx(a, round, agent_degree(a), &s.rngs[a],
+                 is_init ? std::span<const std::uint64_t>{}
+                         : std::span<const std::uint64_t>(
+                               s.aggregates.data() +
+                                   static_cast<std::size_t>(a) * na,
+                               na),
+                 state_of(a));
+      if (is_init) {
+        prog_->init(ctx);
+      } else {
+        prog_->round(ctx);
+      }
+      validate_state(a);
+      const std::span<const std::uint64_t> st = state_of(a);
+      for (std::size_t k = 0; k < na; ++k) {
+        s.extracted[k * num_agents_ + a] = aggs_[k].extract(st);
+      }
+      if (!ctx.halt_requested()) {
+        s.live[kept++] = a;
+        continue;
+      }
+      s.halted[a] = 1;
+      outputs[a] = ctx.halt_output();
+      if (mode_ == Mode::kNodes) {
+        live_dir_edges_ -= g_->degree(a);
+      } else {
+        const auto [u, v] = g_->endpoints(a);
+        --s.live_incident[u];
+        --s.live_incident[v];
+      }
     }
-    validate_state(a);
-    if (ctx.halt_requested()) {
-      halted_[a] = 1;
-      outputs_[a] = ctx.halt_output();
-    }
+    s.live.resize(kept);
   }
 
   void validate_state(std::uint32_t a) {
@@ -190,22 +221,13 @@ class AggEngine {
   }
 
   void compute_aggregates() {
-    const std::size_t na = aggs_.size();
-    // Every slot is written below: each node in node mode, and each edge
-    // (via its lower endpoint first) in line mode.
-    agg_buf_.resize(static_cast<std::size_t>(num_agents_) * na);
-    // Extracted values per (aggregator, agent), reused across folds.
-    extracted_.resize(na);
-    for (std::size_t k = 0; k < na; ++k) {
-      auto& ex = extracted_[k];
-      ex.resize(num_agents_);
-      for (std::uint32_t a = 0; a < num_agents_; ++a) {
-        const std::size_t fields = field_bits_.size();
-        ex[a] = aggs_[k].extract(std::span<const std::uint64_t>(
-            states_.data() + static_cast<std::size_t>(a) * fields, fields));
-      }
+    if (mode_ != Mode::kNodes) {
+      // Hubs whose incident edges have all halted fold for no one.
+      AggScratch& s = *s_;
+      std::erase_if(s.hubs,
+                    [&](NodeId v) { return s.live_incident[v] == 0; });
     }
-    for (std::size_t k = 0; k < na; ++k) {
+    for (std::size_t k = 0; k < aggs_.size(); ++k) {
       switch (aggs_[k].fold) {
         case Fold::kOr: fold_column<Fold::kOr>(k); break;
         case Fold::kAnd: fold_column<Fold::kAnd>(k); break;
@@ -216,55 +238,72 @@ class AggEngine {
     }
   }
 
-  /// Folds aggregator k's extracted column into agg_buf_. Line mode:
-  /// aggregate for edge e=(u,v) joins the all-but-e folds of both
-  /// endpoints (each computed locally; Thm 2.8). A running prefix and a
-  /// suffix fold give all "all-but-one" values in O(deg) per node.
+  /// Folds aggregator k's extracted column into the live agents'
+  /// aggregates. Line mode: the aggregate for edge e=(u,v) joins the
+  /// all-but-e folds of both endpoints (each computed locally; Thm 2.8). A
+  /// running prefix and a suffix fold give all "all-but-one" values in
+  /// O(deg) per hub.
   template <Fold F>
   void fold_column(std::size_t k) {
+    AggScratch& s = *s_;
     const std::size_t na = aggs_.size();
-    const auto& ex = extracted_[k];
+    const std::uint64_t* ex = s.extracted.data() + k * num_agents_;
+    std::uint64_t* agg = s.aggregates.data();
     if (mode_ == Mode::kNodes) {
-      for (NodeId v = 0; v < g_->num_nodes(); ++v) {
+      for (const NodeId v : s.live) {
         std::uint64_t acc = fold_identity(F);
         for (const HalfEdge& he : g_->neighbors(v)) {
           acc = join<F>(acc, ex[he.to]);
         }
-        agg_buf_[static_cast<std::size_t>(v) * na + k] = acc;
+        agg[static_cast<std::size_t>(v) * na + k] = acc;
       }
       return;
     }
-    for (const NodeId v : line_hubs_) {
+    for (const NodeId v : s.hubs) {
       const auto inc = g_->neighbors(v);
       const std::size_t d = inc.size();
-      if (suffix_.size() < d + 1) suffix_.resize(d + 1);
-      suffix_[d] = fold_identity(F);
+      if (s.suffix.size() < d + 1) s.suffix.resize(d + 1);
+      s.suffix[d] = fold_identity(F);
       for (std::size_t i = d; i-- > 0;) {
-        suffix_[i] = join<F>(suffix_[i + 1], ex[inc[i].edge]);
+        s.suffix[i] = join<F>(s.suffix[i + 1], ex[inc[i].edge]);
       }
       std::uint64_t prefix = fold_identity(F);
       for (std::size_t i = 0; i < d; ++i) {
-        const std::uint64_t partial = join<F>(prefix, suffix_[i + 1]);
+        const std::uint64_t partial = join<F>(prefix, s.suffix[i + 1]);
         prefix = join<F>(prefix, ex[inc[i].edge]);
-        auto& slot = agg_buf_[static_cast<std::size_t>(inc[i].edge) * na + k];
-        // Nodes run in id order, so the lower endpoint writes its partial
-        // first and the higher one joins.
+        if (s.halted[inc[i].edge]) continue;
+        auto& slot = agg[static_cast<std::size_t>(inc[i].edge) * na + k];
+        // Hubs run in id order and both endpoints of a live edge are hubs,
+        // so the lower endpoint writes its partial first and the higher
+        // one joins.
         slot = inc[i].to > v ? partial : join<F>(slot, partial);
       }
     }
   }
 
+  /// Charges the physical rounds of the sweep that just ran and reports
+  /// them to the observer, if any.
+  void account_and_observe(const RunOptions& opts, RunMetrics& m) {
+    const std::uint64_t messages = m.messages;
+    const std::uint64_t bits = m.total_bits;
+    account_round(m);
+    if (!opts.observer) return;
+    RoundSample sample;
+    sample.round = m.rounds;
+    sample.messages = m.messages - messages;
+    sample.bits = m.total_bits - bits;
+    sample.nodes_halted =
+        num_agents_ - static_cast<std::uint32_t>(s_->live.size());
+    opts.observer(sample);
+  }
+
   void account_round(RunMetrics& m) {
     // Uniform widths: per-edge load is the same for every live edge/agent.
     if (mode_ == Mode::kNodes) {
-      std::uint64_t live_dir_edges = 0;
-      for (NodeId v = 0; v < g_->num_nodes(); ++v) {
-        if (!halted_[v]) live_dir_edges += g_->degree(v);
-      }
-      m.messages += live_dir_edges;
+      m.messages += live_dir_edges_;
       m.total_bits +=
-          live_dir_edges * static_cast<std::uint64_t>(state_total_bits_);
-      if (live_dir_edges > 0) {
+          live_dir_edges_ * static_cast<std::uint64_t>(state_total_bits_);
+      if (live_dir_edges_ > 0) {
         m.max_edge_bits = std::max(
             m.max_edge_bits, static_cast<std::uint32_t>(state_total_bits_));
       }
@@ -273,17 +312,10 @@ class AggEngine {
     if (mode_ == Mode::kLineNaive) {
       // Naive transport: the endpoint u of a physical edge {u,v} forwards
       // the states of all its live incident edges across to v each round.
-      live_incident_.assign(g_->num_nodes(), 0);
-      for (EdgeId e = 0; e < g_->num_edges(); ++e) {
-        if (halted_[e]) continue;
-        const auto [u, v] = g_->endpoints(e);
-        ++live_incident_[u];
-        ++live_incident_[v];
-      }
       for (EdgeId e = 0; e < g_->num_edges(); ++e) {
         const auto [u, v] = g_->endpoints(e);
         for (NodeId sender : {u, v}) {
-          const std::uint64_t states = live_incident_[sender];
+          const std::uint64_t states = s_->live_incident[sender];
           if (states == 0) continue;
           const std::uint64_t bits =
               states * static_cast<std::uint64_t>(state_total_bits_);
@@ -296,10 +328,7 @@ class AggEngine {
       }
       return;
     }
-    std::uint64_t live_edges = 0;
-    for (EdgeId e = 0; e < g_->num_edges(); ++e) {
-      if (!halted_[e]) ++live_edges;
-    }
+    const std::uint64_t live_edges = s_->live.size();
     // Phase A: both endpoints exchange partial aggregates over the edge.
     // Phase B: primary sends the refreshed state back.
     m.messages += 3 * live_edges;
@@ -315,41 +344,39 @@ class AggEngine {
   const Graph* g_;
   AggProgram* prog_;
   Mode mode_;
+  AggScratch* s_;
   std::uint32_t num_agents_ = 0;
   std::vector<int> field_bits_;
   int state_total_bits_ = 0;
   std::vector<Aggregator> aggs_;
   int agg_total_bits_ = 0;
-
-  std::vector<std::uint64_t> states_;
-  std::vector<char> halted_;
-  std::vector<std::int64_t> outputs_;
-  std::vector<Rng> rngs_;
-  std::vector<std::uint64_t> agg_buf_;
-  std::vector<std::vector<std::uint64_t>> extracted_;
-  std::vector<NodeId> line_hubs_;  // line modes: nodes with an incident edge
-  std::vector<std::uint64_t> suffix_;
-  std::vector<std::uint32_t> live_incident_;  // kLineNaive accounting
+  std::uint64_t live_dir_edges_ = 0;  ///< node mode: sum of live degrees
 };
+
+AggRunResult run_engine(const Graph& g, AggProgram& prog, AggEngine::Mode mode,
+                        const RunOptions& opts) {
+  if (opts.workspace != nullptr) {
+    return AggEngine(g, prog, mode, opts.workspace->agg()).run(opts);
+  }
+  Workspace local;
+  return AggEngine(g, prog, mode, local.agg()).run(opts);
+}
 
 }  // namespace
 
 AggRunResult run_on_nodes(const Graph& g, AggProgram& prog,
                           const RunOptions& opts) {
-  AggEngine engine(g, prog, AggEngine::Mode::kNodes);
-  return engine.run(opts);
+  return run_engine(g, prog, AggEngine::Mode::kNodes, opts);
 }
 
 AggRunResult run_on_line_graph(const Graph& base, AggProgram& prog,
                                const RunOptions& opts) {
-  AggEngine engine(base, prog, AggEngine::Mode::kLine);
-  return engine.run(opts);
+  return run_engine(base, prog, AggEngine::Mode::kLine, opts);
 }
 
 AggRunResult run_on_line_graph_naive(const Graph& base, AggProgram& prog,
                                      const RunOptions& opts) {
-  AggEngine engine(base, prog, AggEngine::Mode::kLineNaive);
-  return engine.run(opts);
+  return run_engine(base, prog, AggEngine::Mode::kLineNaive, opts);
 }
 
 std::uint32_t naive_line_congestion_bits(const Graph& base, int state_bits) {

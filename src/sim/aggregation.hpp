@@ -22,6 +22,12 @@
 //    physical edge — never the Θ(Δ) blowup of naive simulation. No
 //    explicit line graph is materialized.
 //
+// Both execute live work only: per super-round the live agents step, folds
+// run for live agents (line mode: at nodes with a live incident edge), and
+// a halted agent's last published state keeps feeding its neighbours'
+// folds. Runs borrow RunOptions::workspace's buffers and report each
+// super-round to RunOptions::observer.
+//
 // naive_line_congestion_bits computes what the naive simulation would load
 // onto the worst physical edge, for the Sec. 2.4 ablation.
 #pragma once

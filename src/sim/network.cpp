@@ -109,18 +109,21 @@ void Network::rebind(const Graph& g) {
   adj_base_[0] = 0;
   for (NodeId v = 0; v < n; ++v) adj_base_[v + 1] = adj_base_[v] + g.degree(v);
   out_bits_.assign(adj_base_[n], 0);
-  // The port on which v's neighbor across p sees v (Ctx::port_of's rule).
+  // The port on which v's neighbor u across p sees v (Ctx::port_of's
+  // rule). Every adjacency list ascends by neighbor id, so visiting the
+  // senders v in ascending order meets u's neighbors in u's port order:
+  // the k-th half-edge that reaches u arrives on u's port k.
   rev_port_.resize(adj_base_[n]);
+  inbox_fill_.assign(n, 0);
   for (NodeId v = 0; v < n; ++v) {
     const auto nbrs = g.neighbors(v);
     for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-      const std::uint32_t arrival = find_port(g.neighbors(nbrs[p].to), v);
-      DISTAPX_ASSERT(arrival != UINT32_MAX);
+      const std::uint32_t arrival = inbox_fill_[nbrs[p].to]++;
+      DISTAPX_ASSERT(g.neighbors(nbrs[p].to)[arrival].edge == nbrs[p].edge);
       rev_port_[adj_base_[v] + p] = arrival;
     }
   }
   inbox_off_.assign(n + 1, 0);
-  inbox_fill_.assign(n, 0);
   slots_.resize(n);
   staged_.clear();
   touched_.clear();
@@ -129,7 +132,7 @@ void Network::rebind(const Graph& g) {
 RunResult Network::run(const ProgramFactory& factory, const RunOptions& opts) {
   DISTAPX_ENSURE_MSG(g_ != nullptr, "Network::run on an unbound Network");
   const NodeId n = g_->num_nodes();
-  cap_bits_ = opts.policy.cap_bits(n);
+  cap_bits_ = opts.cap_bits(n);
   enforce_ = opts.policy.bounded && opts.policy.enforce;
 
   // Reset run state in place; buffer capacity survives from earlier runs

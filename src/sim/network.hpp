@@ -49,16 +49,33 @@ struct RoundSample {
   std::uint32_t round = 0;
   std::uint64_t messages = 0;   ///< messages sent this round
   std::uint64_t bits = 0;       ///< bits sent this round
-  NodeId nodes_halted = 0;      ///< cumulative halted nodes
+  NodeId nodes_halted = 0;      ///< cumulative halted nodes (agents)
 };
+
+class Workspace;  // sim/workspace.hpp
 
 struct RunOptions {
   BandwidthPolicy policy = BandwidthPolicy::congest();
   std::uint64_t seed = 1;
   std::uint32_t max_rounds = 1u << 20;
+  /// n of the job graph when the run's own graph is derived from it (a
+  /// line graph, a compacted bucket), so the CONGEST cap stays
+  /// cap_bits(n) of the network the job runs on. 0 = the run's graph is
+  /// the job graph. See within().
+  NodeId job_nodes = 0;
+  /// Buffers the run borrows: the worker's Network and AggEngine scratch.
+  /// Null = the run builds a local workspace on the same code path.
+  Workspace* workspace = nullptr;
   /// Optional per-round observer (progress curves, debugging). Called
-  /// after every round including the init sweep (round 0).
+  /// after every round including the init sweep (round 0); the
+  /// aggregation engines call it once per super-round with physical
+  /// round numbers.
   std::function<void(const RoundSample&)> observer;
+
+  /// The bandwidth cap of a run on an `n`-node graph under these options.
+  [[nodiscard]] std::uint32_t cap_bits(NodeId n) const {
+    return policy.cap_bits(job_nodes != 0 ? job_nodes : n);
+  }
 };
 
 struct RunMetrics {
@@ -89,6 +106,14 @@ inline RunOptions sub_run(RunOptions opts, std::uint64_t seed,
   opts.seed = seed;
   opts.max_rounds -=
       spent.rounds < opts.max_rounds ? spent.rounds : opts.max_rounds;
+  return opts;
+}
+
+/// Options of a sub-run on a graph derived from `g` (its line graph, a
+/// bucket of its edges): the cap stays that of g's n, or of the job
+/// graph's when `opts` already names one.
+inline RunOptions within(RunOptions opts, const Graph& g) {
+  if (opts.job_nodes == 0) opts.job_nodes = g.num_nodes();
   return opts;
 }
 
@@ -163,8 +188,8 @@ using ProgramFactory =
 /// the arrival port rebind() precomputed, and a stable counting sort by
 /// destination rebuilds the per-node inbox spans each round. Sweeps visit
 /// an ascending list of the non-halted nodes. A Network instance is
-/// therefore cheap to reuse for many seeded runs on the same graph (the
-/// batch server's workers each keep one for their whole lifetime), with no
+/// therefore cheap to reuse for many seeded runs (each serving worker keeps
+/// one in its sim::Workspace for the worker owner's lifetime), with no
 /// per-round or per-run vector churn.
 class Network {
  public:
@@ -174,10 +199,10 @@ class Network {
   Network() = default;
   explicit Network(const Graph& g);
 
-  /// Points the engine at `g`, resizing the flat transport buffers while
-  /// retaining their capacity. Serving runs on different graphs
-  /// back-to-back therefore settles into zero allocation once the largest
-  /// graph in the mix has been seen. `g` must outlive the binding.
+  /// Points the engine at `g` in O(n + m), resizing the flat transport
+  /// buffers while retaining their capacity. Serving runs on different
+  /// graphs back-to-back therefore settles into zero allocation once the
+  /// largest graph in the mix has been seen. `g` must outlive the binding.
   void rebind(const Graph& g);
 
   [[nodiscard]] bool bound() const noexcept { return g_ != nullptr; }

@@ -4,11 +4,12 @@
 // one shape: many fully independent units of work (one per seed, or per
 // (job, seed)), each writing its own result slot. for_each_index() is the
 // one scheduler for that shape: an atomic cursor, a first-error slot and a
-// fork/join in which the calling thread is worker 0. Each worker owns one
-// default-constructed State for its lifetime — the batch server's
-// NetworkLease, so a worker's flat transport buffers are allocated once,
-// not once per run. run_many_tasks() is the stateless convenience form
-// that collects one result per seed.
+// fork/join in which the calling thread is worker 0. Worker t works in the
+// caller-owned states[t] — the batch server passes its owner's
+// sim::Workspace set, so a worker's engine buffers outlive the call, not
+// just one run. The form that takes a thread count builds the states for
+// one call; run_many_tasks() is the stateless convenience form that
+// collects one result per seed.
 //
 // Determinism: a unit's result depends only on its index (and whatever the
 // body reads for it) — never on the thread count or on scheduling order —
@@ -16,9 +17,11 @@
 // invocations.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -31,23 +34,23 @@ namespace distapx::sim {
 /// hardware concurrency when 0), clamped to [1, jobs].
 unsigned resolve_threads(unsigned requested, std::size_t jobs);
 
-/// Calls body(state, i) once for every i in [0, count), spread over
-/// resolve_threads(threads, count) workers that pull indices from one
-/// shared cursor. The calling thread is worker 0 and spawns the others;
-/// each worker default-constructs its State on its own stack and passes it
-/// to every index it runs. A spawn that fails (e.g. the process thread
-/// limit) stops spawning: the workers already running finish every index,
-/// so results are the same with fewer workers. The first exception a body
-/// throws cancels the remaining indices and is rethrown after every
-/// started thread has joined. Returns the number of workers that ran.
+/// Calls body(states[t], i) once for every i in [0, count), spread over
+/// min(states.size(), count) workers (at least one) that pull indices from
+/// one shared cursor; worker t uses states[t] for every index it runs.
+/// The calling thread is worker 0 and spawns the others. A spawn that
+/// fails (e.g. the process thread limit) stops spawning: the workers
+/// already running finish every index, so results are the same with fewer
+/// workers. The first exception a body throws cancels the remaining
+/// indices and is rethrown after every started thread has joined. Returns
+/// the number of workers that ran. Requires a non-empty `states`.
 template <typename State, typename Body>
-unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
+unsigned for_each_index(std::size_t count, std::span<State> states,
+                        Body&& body) {
   std::atomic<std::size_t> next{0};
   std::mutex error_mu;
   std::exception_ptr error;
-  auto drain = [&] {
+  auto drain = [&](State& state) {
     try {
-      State state{};
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;
@@ -61,19 +64,30 @@ unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
       next.store(count, std::memory_order_relaxed);  // cancel the rest
     }
   };
-  const unsigned workers = resolve_threads(threads, count);
+  const auto workers = static_cast<unsigned>(std::max<std::size_t>(
+      1, std::min<std::size_t>(states.size(), count)));
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   try {
-    for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
+    for (unsigned t = 1; t < workers; ++t) {
+      pool.emplace_back(drain, std::ref(states[t]));
+    }
   } catch (...) {
     // Out of threads: the caller and the workers already started drain
     // the whole cursor between them.
   }
-  drain();
+  drain(states[0]);
   for (std::thread& th : pool) th.join();
   if (error) std::rethrow_exception(error);
   return static_cast<unsigned>(pool.size()) + 1;
+}
+
+/// The same over resolve_threads(threads, count) default-constructed
+/// States that live for this call.
+template <typename State, typename Body>
+unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
+  std::vector<State> states(resolve_threads(threads, count));
+  return for_each_index(count, std::span<State>(states), body);
 }
 
 /// Deterministic seed-parallel map: results[i] = task(seeds[i], i). `task`

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string_view>
 
@@ -22,6 +23,7 @@
 #include "service/report_sink.hpp"
 #include "service/result_cache.hpp"
 #include "sim/network.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -422,6 +424,74 @@ TEST(BatchServer, ServeTwiceIsIdempotent) {
   expect_same_rows(first, second);
 }
 
+// ---- worker workspaces that outlive the request ----------------------------
+//
+// A socket lane or a batch invocation keeps one sim::Workspace per worker
+// across requests. Graph addresses repeat across requests, so serve()
+// resets every binding first; a run that throws leaves its workspace
+// reusable. Either way the rows are a fresh server's.
+
+std::string csv_of(const Table& t) {
+  std::ostringstream os;
+  t.write_csv(os);
+  return os.str();
+}
+
+std::vector<service::JobSpec> specs_of(const std::string& file) {
+  std::istringstream is(file);
+  return service::parse_job_file(is);
+}
+
+TEST(WorkspaceServing, OneSetServesManyJobFilesLikeFreshServers) {
+  std::vector<sim::Workspace> workspaces(2);
+  const std::vector<std::string> files = test::workspace_job_files();
+  ASSERT_GE(files.size(), 20u);
+  std::set<std::string> algos;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    SCOPED_TRACE("file " + std::to_string(f));
+    const auto specs = specs_of(files[f]);
+    service::BatchOptions kept;
+    kept.threads = 2;
+    kept.workspaces = workspaces;
+    service::BatchServer server(kept);
+    server.submit_all(specs);
+    service::BatchServer fresh({1});
+    fresh.submit_all(specs);
+    if (f == test::kThrowingJobFile) {
+      EXPECT_THROW(fresh.serve(), EnsureError);
+      try {
+        server.serve();
+        ADD_FAILURE() << "the violating job file served";
+      } catch (const EnsureError& e) {
+        EXPECT_NE(std::string(e.what()).find("CONGEST violation"),
+                  std::string::npos)
+            << e.what();
+      }
+      continue;
+    }
+    for (const service::JobSpec& spec : specs) algos.insert(spec.algorithm);
+    const auto want = fresh.serve();
+    const auto got = server.serve();
+    expect_same_rows(got, want);
+    EXPECT_EQ(csv_of(service::summary_table(got)),
+              csv_of(service::summary_table(want)));
+  }
+  EXPECT_EQ(algos.size(), service::algorithms().size());
+}
+
+TEST(WorkspaceServing, ServerKeepsItsOwnSetAcrossServes) {
+  // Submitting after a serve() moves every job graph (jobs_ reallocates),
+  // so the next serve() must not trust the old bindings.
+  service::BatchServer server({2});
+  service::BatchServer fresh({1});
+  const std::vector<std::string> files = test::workspace_job_files();
+  for (std::size_t f = 0; f < 6; ++f) {
+    server.submit_all(specs_of(files[f]));
+    fresh.submit_all(specs_of(files[f]));
+    expect_same_rows(server.serve(), fresh.serve());
+  }
+}
+
 // ---- key-first resolution with a result cache -------------------------------
 //
 // With a cache attached, submit() only validates; serve() looks every seed
@@ -429,12 +499,6 @@ TEST(BatchServer, ServeTwiceIsIdempotent) {
 // fully cached job reports n/m/Δ from its cache entries.
 
 using test::ScopedTempDir;
-
-std::string csv_of(const Table& t) {
-  std::ostringstream os;
-  t.write_csv(os);
-  return os.str();
-}
 
 service::BatchResult serve_cached(const std::vector<service::JobSpec>& jobs,
                                   service::ResultCache& cache,
@@ -807,6 +871,71 @@ TEST(AlgorithmRegistry, EveryEntryRunsUnderTheJobsPolicyAndRoundCap) {
       EXPECT_LT(cut.rounds, row.rounds) << "seed " << row.seed;
       EXPECT_FALSE(cut.completed) << "seed " << row.seed;
     }
+  }
+}
+
+/// The message of the EnsureError `spec` fails with, or "" if it serves.
+std::string failure_of(const service::JobSpec& spec) {
+  service::BatchServer server({1});
+  server.submit(spec);
+  try {
+    server.serve();
+  } catch (const EnsureError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AlgorithmRegistry, SubRunsOnDerivedGraphsAreCappedByTheJobGraphsN) {
+  // mwm-lr-det's Linial phase runs on the explicit line graph (one node per
+  // edge of the job graph), yet its cap is the job graph's: 8 bits at
+  // congest:1 for n = 120, where the line graph's own n would give 9.
+  ASSERT_EQ(sim::BandwidthPolicy::congest(1).cap_bits(120), 8u);
+  const std::string det =
+      failure_of(registry_spec("mwm-lr-det", 1, "policy=congest:1"));
+  EXPECT_NE(det.find("CONGEST violation"), std::string::npos) << det;
+  EXPECT_NE(det.find("(cap 8)"), std::string::npos) << det;
+
+  // mwm-2eps runs NMM on compact bucket graphs of a few hundred nodes;
+  // they keep the cap of the job graph's n = 1500 (11 bits per unit of
+  // the multiplier), so NMM's 52-bit partial aggregates fit congest:5.
+  const std::string bucketed = "gen=gnp:1500:0.005 gseed=1 algo=mwm-2eps ";
+  EXPECT_EQ(failure_of(service::parse_job_line(bucketed + "policy=congest:5")),
+            "");
+  const std::string tight =
+      failure_of(service::parse_job_line(bucketed + "policy=congest:1"));
+  EXPECT_NE(tight.find("CONGEST cap is 11"), std::string::npos) << tight;
+}
+
+TEST(AlgorithmRegistry, AggregationRowsReportEverySuperRoundToTheObserver) {
+  // mwm-lr and mcm-2eps are one line-aggregation run each: the observer's
+  // samples add up to the row, and the last one is taken at its last round.
+  for (const std::string_view name : {"mwm-lr", "mcm-2eps"}) {
+    SCOPED_TRACE(std::string(name));
+    const service::ResolvedJob job =
+        service::resolve_job(registry_spec(name, 1));
+    std::vector<sim::RoundSample> samples;
+    sim::RunOptions opts = job.spec.run_options(3);
+    opts.observer = [&](const sim::RoundSample& s) { samples.push_back(s); };
+    const service::RunRow row = job.algorithm->run(job, opts, nullptr);
+
+    ASSERT_GE(samples.size(), 2u);
+    std::uint64_t messages = 0;
+    std::uint64_t bits = 0;
+    for (const sim::RoundSample& s : samples) {
+      messages += s.messages;
+      bits += s.bits;
+    }
+    EXPECT_EQ(messages, row.messages);
+    EXPECT_EQ(bits, row.total_bits);
+    EXPECT_EQ(samples.front().round, 0u);
+    EXPECT_EQ(samples.back().round, row.rounds);
+    EXPECT_EQ(samples.back().nodes_halted, job.graph.num_edges());
+
+    // Observing does not change the row.
+    service::BatchServer server({1});
+    server.submit(registry_spec(name, 1));
+    EXPECT_EQ(server.serve().jobs.at(0).rows.at(0), row);
   }
 }
 

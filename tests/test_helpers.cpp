@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdlib>
+#include <iterator>
 #include <system_error>
 
 #include "support/assert.hpp"
@@ -109,6 +110,37 @@ std::size_t brute_force_mcm_size(const Graph& g) {
   DISTAPX_ENSURE(g.num_nodes() <= 32);
   DISTAPX_ENSURE(g.num_edges() <= 48);
   return mcm_rec(g, 0, 0);
+}
+
+std::vector<std::string> workspace_job_files() {
+  // Every registry algorithm, in registry order, then again on other
+  // graphs; the second job of each file runs on a graph of another size.
+  const char* const algos[] = {"luby",     "nmis",     "maxis-alg2",
+                               "maxis-alg3", "mwm-lr", "mwm-lr-det",
+                               "mcm-2eps", "mwm-2eps", "mcm-1eps",
+                               "proposal"};
+  const char* const graphs[] = {"gnp:80:0.06", "tree:40", "grid:6:7",
+                                "gnp:150:0.03", "regular:30:4"};
+  std::vector<std::string> files;
+  for (std::size_t i = 0; i < 22; ++i) {
+    std::string file;
+    for (std::size_t j = 0; j < 2; ++j) {
+      const std::size_t k = i + 7 * j;
+      file += "gen=" + std::string(graphs[k % std::size(graphs)]) +
+              " algo=" + algos[k % std::size(algos)] +
+              " gseed=" + std::to_string(k + 1) + " seeds=" +
+              std::to_string(k + 1) + ":2 maxw=64 eps=0.5 name=w" +
+              std::to_string(i) + "-" + std::to_string(j) + "\n";
+    }
+    files.push_back(std::move(file));
+  }
+  // mwm-lr-det's Linial phase sends 13-bit colors where congest:1 allows
+  // 8 bits on this graph.
+  files[kThrowingJobFile] =
+      "gen=gnp:120:0.05 gseed=3 algo=mwm-lr-det policy=congest:1 seeds=1:2 "
+      "name=violates\n" +
+      files[kThrowingJobFile];
+  return files;
 }
 
 }  // namespace distapx::test

@@ -116,6 +116,14 @@ inline std::vector<FamilyCase> medium_families(std::uint64_t seed) {
   return cases;
 }
 
+/// Job files that walk one set of worker workspaces through every registry
+/// algorithm on graphs whose sizes go up and down, two seeds per job so
+/// both workers of a two-thread server run. File kThrowingJobFile fails
+/// with a CONGEST violation in the middle of a Network run on a line
+/// graph, and clean files follow it.
+std::vector<std::string> workspace_job_files();
+inline constexpr std::size_t kThrowingJobFile = 11;
+
 /// Brute-force exact MaxIS weight by subset enumeration; n <= 20.
 Weight brute_force_maxis_weight(const Graph& g, const NodeWeights& w);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/algos.hpp"
 #include "graph/generators.hpp"
 #include "mis/ghaffari_nmis.hpp"
@@ -85,6 +87,20 @@ TEST(NmisBudget, MatchesTheoremFormula) {
   EXPECT_LE(t, 40u);
   p.iterations = 123;
   EXPECT_EQ(nmis_iteration_budget(64, p), 123u);
+}
+
+TEST(NmisBudget, MarkingTableIsThePowItReplaces) {
+  // One entry per exponent the field can hold, each bit-identical to the
+  // std::pow call the programs made per marking draw.
+  for (const std::uint32_t K : {2u, 3u, 16u}) {
+    const auto table = nmis_mark_probabilities(K, 5);
+    ASSERT_EQ(table.size(), 32u);
+    for (std::size_t j = 0; j < table.size(); ++j) {
+      EXPECT_EQ(table[j], std::pow(static_cast<double>(K),
+                                   -static_cast<double>(j)))
+          << "K=" << K << " j=" << j;
+    }
+  }
 }
 
 class NmisFamilies : public ::testing::TestWithParam<int> {};

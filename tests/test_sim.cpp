@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "sim/aggregation.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 
 namespace distapx {
@@ -739,6 +742,277 @@ TEST(Aggregation, NaiveCostGrowsWithDegree) {
   const auto big = sim::run_on_line_graph_naive(gen::star(65), prog_big,
                                                 opts);
   EXPECT_GE(big.metrics.max_edge_bits, 7 * small.metrics.max_edge_bits);
+}
+
+/// Agents halt at staggered rounds; every round each live agent records
+/// the aggregates it receives and republishes a value that depends on
+/// them. Halted agents' last values must keep feeding their neighbours.
+class StaggeredProgram final : public sim::AggProgram {
+ public:
+  std::vector<int> state_bits() const override { return {16, 4}; }
+  std::vector<sim::Aggregator> aggregators() const override {
+    const auto value = [](std::span<const std::uint64_t> s) { return s[0]; };
+    return {sim::agg_sum(value, 24), sim::agg_max(value, 16),
+            sim::agg_or([](std::span<const std::uint64_t> s) {
+              return static_cast<std::uint64_t>(s[0] % 3 == 0);
+            })};
+  }
+  void init(sim::AggCtx& ctx) override {
+    ctx.state()[0] = ctx.rng().next() & 0xffff;
+    ctx.state()[1] = 1 + ctx.rng().next_below(6);  // halting round
+    record(ctx, {});
+  }
+  void round(sim::AggCtx& ctx) override {
+    const auto a = ctx.aggregates();
+    auto st = ctx.state();
+    st[0] = (st[0] * 31 + a[0] + a[1] + a[2] + ctx.round()) & 0xffff;
+    record(ctx, std::vector<std::uint64_t>(a.begin(), a.end()));
+    if (ctx.round() >= st[1]) ctx.halt(static_cast<std::int64_t>(st[0]));
+  }
+
+  /// published[a][r]: agent a's value after its step in super-round r;
+  /// received[a][r]: the aggregates it got in super-round r >= 1.
+  std::vector<std::vector<std::uint64_t>> published;
+  std::vector<std::vector<std::vector<std::uint64_t>>> received;
+
+ private:
+  void record(sim::AggCtx& ctx, std::vector<std::uint64_t> aggs) {
+    const std::size_t a = ctx.agent();
+    published.resize(std::max(published.size(), a + 1));
+    received.resize(std::max(received.size(), a + 1));
+    published[a].push_back(ctx.state()[0]);
+    received[a].push_back(std::move(aggs));
+  }
+};
+
+/// Checks every aggregate `prog` received against a fold of its
+/// neighbours' values as they stood after the previous super-round (a
+/// halted neighbour's last value).
+void expect_staggered_folds(
+    const StaggeredProgram& prog,
+    const std::function<std::vector<std::size_t>(std::size_t)>& neighbors) {
+  std::size_t checked = 0;
+  for (std::size_t a = 0; a < prog.received.size(); ++a) {
+    for (std::size_t r = 1; r < prog.received[a].size(); ++r) {
+      std::vector<std::uint64_t> values;
+      for (const std::size_t b : neighbors(a)) {
+        const auto& pub = prog.published[b];
+        values.push_back(pub[std::min(r - 1, pub.size() - 1)]);
+      }
+      std::vector<std::uint64_t> thirds;
+      for (const std::uint64_t x : values) thirds.push_back(x % 3 == 0);
+      const auto& got = prog.received[a][r];
+      EXPECT_EQ(got[0], reference_fold(sim::Fold::kSum, values));
+      EXPECT_EQ(got[1], reference_fold(sim::Fold::kMax, values));
+      EXPECT_EQ(got[2], reference_fold(sim::Fold::kOr, thirds));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(Aggregation, HaltedAgentsKeepFeedingTheirNeighbours) {
+  Rng rng(21);
+  const Graph g = gen::gnp(60, 0.08, rng);
+  sim::RunOptions opts;
+  opts.policy = sim::BandwidthPolicy::local();
+
+  StaggeredProgram nodes;
+  ASSERT_TRUE(sim::run_on_nodes(g, nodes, opts).metrics.completed);
+  expect_staggered_folds(nodes, [&](std::size_t v) {
+    std::vector<std::size_t> out;
+    for (const HalfEdge& he : g.neighbors(static_cast<NodeId>(v))) {
+      out.push_back(he.to);
+    }
+    return out;
+  });
+
+  StaggeredProgram line;
+  const auto run = sim::run_on_line_graph(g, line, opts);
+  ASSERT_TRUE(run.metrics.completed);
+  expect_staggered_folds(line, [&](std::size_t e) {
+    std::vector<std::size_t> out;
+    const auto [u, v] = g.endpoints(static_cast<EdgeId>(e));
+    for (const NodeId end : {u, v}) {
+      for (const HalfEdge& he : g.neighbors(end)) {
+        if (he.edge != e) out.push_back(he.edge);
+      }
+    }
+    return out;
+  });
+
+  // The naive transport runs the same dynamics.
+  StaggeredProgram naive;
+  EXPECT_EQ(sim::run_on_line_graph_naive(g, naive, opts).outputs,
+            run.outputs);
+}
+
+TEST(Aggregation, ObserverSeesEverySuperRound) {
+  Rng rng(22);
+  const Graph g = gen::gnp(50, 0.1, rng);
+  for (const bool line : {false, true}) {
+    SCOPED_TRACE(line ? "line" : "nodes");
+    std::vector<sim::RoundSample> samples;
+    sim::RunOptions opts;
+    opts.observer = [&](const sim::RoundSample& s) { samples.push_back(s); };
+    StaggeredProgram observed, plain;
+    const auto run = line ? sim::run_on_line_graph(g, observed, opts)
+                          : sim::run_on_nodes(g, observed, opts);
+    opts.observer = nullptr;
+    const auto unobserved = line ? sim::run_on_line_graph(g, plain, opts)
+                                 : sim::run_on_nodes(g, plain, opts);
+    EXPECT_EQ(run.outputs, unobserved.outputs);
+    EXPECT_EQ(run.metrics.messages, unobserved.metrics.messages);
+
+    // One sample for init and one per super-round, in physical rounds.
+    ASSERT_EQ(samples.size(), run.super_rounds + 1);
+    std::uint64_t messages = 0;
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(samples[i].round, i * (line ? 2 : 1));
+      if (i > 0) {
+        EXPECT_GE(samples[i].nodes_halted, samples[i - 1].nodes_halted);
+      }
+      messages += samples[i].messages;
+      bits += samples[i].bits;
+    }
+    EXPECT_EQ(messages, run.metrics.messages);
+    EXPECT_EQ(bits, run.metrics.total_bits);
+    EXPECT_EQ(samples.back().round, run.metrics.rounds);
+    EXPECT_EQ(samples.back().nodes_halted,
+              line ? g.num_edges() : g.num_nodes());
+  }
+}
+
+// ---- workspaces -----------------------------------------------------------
+
+/// A Luby-like one-round program: halts with a value drawn from its stream.
+class DrawProgram final : public sim::NodeProgram {
+ public:
+  void round(sim::Ctx& ctx) override {
+    sim::Message m(1);
+    m.push(ctx.id() & 0xff, 8);
+    ctx.broadcast(m);
+    std::int64_t sum = 0;
+    for (const auto& d : ctx.inbox()) sum += d.port;
+    ctx.halt(static_cast<std::int64_t>(ctx.rng().next_below(1000)) + sum);
+  }
+};
+
+sim::RunResult draw_run(const Graph& g, sim::Workspace* ws) {
+  sim::RunOptions opts;
+  opts.seed = 5;
+  opts.workspace = ws;
+  return sim::run_network(
+      g, [](NodeId) { return std::make_unique<DrawProgram>(); }, opts);
+}
+
+TEST(Workspace, ResetForgetsAGraphWhoseAddressIsReused) {
+  // Two different graphs at one address: a held binding that survived the
+  // first graph's death would run the second on the first's ports.
+  Rng rng(23);
+  std::optional<Graph> slot;
+  slot.emplace(gen::gnp(30, 0.2, rng));
+  sim::Workspace ws;
+  ws.hold(*slot);
+  draw_run(*slot, &ws);
+  slot.emplace(gen::gnp(70, 0.1, rng));
+  const sim::RunResult fresh = draw_run(*slot, nullptr);
+  ws.reset();
+  ws.hold(*slot);
+  const sim::RunResult kept = draw_run(*slot, &ws);
+  EXPECT_EQ(kept.outputs, fresh.outputs);
+  EXPECT_EQ(kept.metrics.messages, fresh.metrics.messages);
+  EXPECT_EQ(&ws.network(*slot).graph(), &*slot);
+}
+
+TEST(Workspace, OnlyTheHeldGraphKeepsItsBinding) {
+  Rng rng(24);
+  const Graph held = gen::gnp(40, 0.1, rng);
+  sim::Workspace ws;
+  ws.hold(held);
+  sim::Network& net = ws.network(held);
+  EXPECT_EQ(&net.graph(), &held);
+  // Any other graph rebinds, even at an address the workspace saw before.
+  for (int i = 0; i < 3; ++i) {
+    const Graph temp = gen::gnp(20 + 10 * i, 0.2, rng);
+    EXPECT_EQ(draw_run(temp, &ws).outputs, draw_run(temp, nullptr).outputs);
+    EXPECT_EQ(&ws.network(temp).graph(), &temp);
+  }
+  EXPECT_EQ(draw_run(held, &ws).outputs, draw_run(held, nullptr).outputs);
+}
+
+TEST(Workspace, RunsThatThrowLeaveItReusable) {
+  Rng rng(25);
+  const Graph g = gen::gnp(50, 0.1, rng);
+  sim::Workspace ws;
+  sim::RunOptions opts;
+  opts.workspace = &ws;
+  opts.policy = sim::BandwidthPolicy::congest(8, /*enforce=*/true);
+  const std::uint32_t cap = opts.cap_bits(g.num_nodes());
+  EXPECT_THROW(sim::run_network(
+                   g,
+                   [&](NodeId) {
+                     return std::make_unique<FixedSender>(
+                         static_cast<int>(cap) + 1);
+                   },
+                   opts),
+               EnsureError);
+  EXPECT_EQ(draw_run(g, &ws).outputs, draw_run(g, nullptr).outputs);
+
+  // An aggregation run that throws after some agents stepped.
+  class WidensLate final : public sim::AggProgram {
+   public:
+    std::vector<int> state_bits() const override { return {4}; }
+    std::vector<sim::Aggregator> aggregators() const override {
+      return {sim::agg_or(
+          [](std::span<const std::uint64_t> s) { return s[0]; })};
+    }
+    void init(sim::AggCtx& ctx) override { ctx.state()[0] = 1; }
+    void round(sim::AggCtx& ctx) override {
+      if (ctx.round() == 3 && ctx.agent() == 7) ctx.state()[0] = 99;
+    }
+  };
+  WidensLate bad;
+  opts.policy = sim::BandwidthPolicy::local();
+  EXPECT_THROW(sim::run_on_line_graph(g, bad, opts), EnsureError);
+  StaggeredProgram kept, fresh;
+  const auto a = sim::run_on_line_graph(g, kept, opts);
+  opts.workspace = nullptr;
+  const auto b = sim::run_on_line_graph(g, fresh, opts);
+  EXPECT_EQ(a.outputs, b.outputs);
+  EXPECT_EQ(a.metrics.messages, b.metrics.messages);
+  EXPECT_EQ(a.metrics.total_bits, b.metrics.total_bits);
+}
+
+TEST(Network, RebindPairsEveryHalfEdge) {
+  // rebind() derives arrival ports from the adjacency order alone; every
+  // message must arrive on the port whose neighbour sent it.
+  Rng rng(26);
+  for (const Graph& g : {gen::gnp(90, 0.07, rng), gen::star(12),
+                         gen::random_regular(40, 5, rng), Graph{}}) {
+    sim::Network net(g);
+    class EchoId final : public sim::NodeProgram {
+     public:
+      void init(sim::Ctx& ctx) override {
+        sim::Message m(1);
+        m.push(ctx.id(), 32);
+        ctx.broadcast(m);
+      }
+      void round(sim::Ctx& ctx) override {
+        bool ok = ctx.inbox().size() == ctx.degree();
+        for (const auto& d : ctx.inbox()) {
+          ok = ok && ctx.neighbor(d.port) == d.msg.field(0);
+        }
+        ctx.halt(ok ? 1 : 0);
+      }
+    };
+    sim::RunOptions opts;
+    opts.policy = sim::BandwidthPolicy::local();
+    const auto r =
+        net.run([](NodeId) { return std::make_unique<EchoId>(); }, opts);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(r.outputs[v], 1);
+  }
 }
 
 }  // namespace

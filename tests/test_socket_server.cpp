@@ -186,6 +186,31 @@ TEST(SocketServer, SubmitMatchesDirectBatchByteForByteAtEveryThreadCount) {
   }
 }
 
+TEST(WorkspaceServing, OneSocketLaneServesManyJobFilesLikeFreshServers) {
+  // One lane serves every file, so its workspaces see all of them,
+  // including a run that throws mid-round.
+  ServerFixture fixture([](service::SocketServerOptions& o) {
+    o.threads = 2;
+    o.lanes = 1;
+  });
+  net::Client client = net::Client::connect(fixture.endpoint());
+  const std::vector<std::string> files = test::workspace_job_files();
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    SCOPED_TRACE("file " + std::to_string(f));
+    const net::SubmitOutcome outcome = client.submit(files[f]);
+    if (f == test::kThrowingJobFile) {
+      EXPECT_FALSE(outcome.ok);
+      EXPECT_NE(outcome.error.find("CONGEST violation"), std::string::npos)
+          << outcome.error;
+      continue;
+    }
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const net::ResultPayload fresh = direct_reference(files[f], 1);
+    EXPECT_EQ(outcome.result.runs_csv, fresh.runs_csv);
+    EXPECT_EQ(outcome.result.summary_csv, fresh.summary_csv);
+  }
+}
+
 TEST(SocketServer, ConcurrentClientsSharingOneCacheGetIdenticalRows) {
   const ScopedTempDir cache_dir("distapx-socket-cache");
   ServerFixture fixture([&](service::SocketServerOptions& o) {
