@@ -18,6 +18,8 @@
 #include "matching/weighted_2eps.hpp"
 #include "mis/luby.hpp"
 #include "sim/aggregation.hpp"
+#include "sim/run_many.hpp"
+#include "sim/worker_pool.hpp"
 #include "sim/workspace.hpp"
 #include "support/random.hpp"
 
@@ -247,6 +249,30 @@ void BM_Mwm2EpsWorkspaceRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Mwm2EpsWorkspaceRun)->Unit(benchmark::kMillisecond);
+
+// ---- the scheduler: one batch of 4 trivial units on 2 workers --------------
+
+/// Spawn per call: for_each_index forks a worker thread and joins it.
+void BM_ForEachIndexSpawnBatch(benchmark::State& state) {
+  std::vector<std::size_t> out(4);
+  for (auto _ : state) {
+    sim::for_each_index<char>(out.size(), 2,
+                              [&](char&, std::size_t i) { out[i] = i; });
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ForEachIndexSpawnBatch)->UseRealTime();
+
+/// A kept pool: post the batch, wake the workers, wait for done.
+void BM_WorkerPoolBatch(benchmark::State& state) {
+  sim::WorkerPool pool(2);
+  std::vector<std::size_t> out(4);
+  for (auto _ : state) {
+    pool.run(out.size(), [&](sim::Workspace&, std::size_t i) { out[i] = i; });
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_WorkerPoolBatch)->UseRealTime();
 
 }  // namespace
 }  // namespace distapx

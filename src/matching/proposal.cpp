@@ -196,8 +196,8 @@ ProposalResult run_proposal_matching(const Graph& g,
     if (bi.graph.num_edges() == 0) continue;
     Bipartition bi_parts = sub_parts;  // same node ids as sub.graph
     const auto res = run_proposal_matching_bipartite(
-        bi.graph, bi_parts, sim::sub_run(opts, rng.next(), out.metrics),
-        params);
+        bi.graph, bi_parts,
+        sim::within(sim::sub_run(opts, rng.next(), out.metrics), g), params);
     sim::accumulate(out.metrics, res.metrics);
     for (EdgeId be : res.matching) {
       const EdgeId se = bi.original_edge[be];

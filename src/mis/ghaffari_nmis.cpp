@@ -203,7 +203,9 @@ IsResult run_nmis_then_luby(const Graph& g, const sim::RunOptions& opts,
   const auto sub = induced_subgraph(g, keep);
   IsResult finish = run_luby_mis(
       sub.graph,
-      sim::sub_run(opts, hash_combine(opts.seed, 0x10b5), first.metrics));
+      sim::within(
+          sim::sub_run(opts, hash_combine(opts.seed, 0x10b5), first.metrics),
+          g));
   for (NodeId v : finish.independent_set) {
     first.independent_set.push_back(sub.original_id[v]);
   }

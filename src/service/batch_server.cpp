@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -67,12 +68,18 @@ ResolvedJob resolve_job(JobSpec spec) {
 
 std::size_t BatchServer::submit(JobSpec spec) {
   if (spec.name.empty()) spec.name = "job" + std::to_string(jobs_.size());
-  if (opts_.cache != nullptr) {
-    jobs_.push_back(describe_job(std::move(spec)));
-  } else {
-    jobs_.push_back(resolve_job(std::move(spec)));
-    ++built_at_submit_;
+  ResolvedJob job = describe_job(std::move(spec));
+  if (opts_.cache == nullptr) {
+    // Every seed will build the workload: a source that cannot be built
+    // fails here, cheaply, as if it had been built.
+    if (!job.spec.gen_spec.empty()) {
+      (void)gen::parse_spec(job.spec.gen_spec);
+    } else {
+      DISTAPX_ENSURE_MSG(std::ifstream(job.spec.graph_file).good(),
+                         "cannot open " << job.spec.graph_file);
+    }
   }
+  jobs_.push_back(std::move(job));
   return jobs_.size() - 1;
 }
 
@@ -81,9 +88,13 @@ void BatchServer::submit_all(const std::vector<JobSpec>& specs) {
 }
 
 BatchResult BatchServer::serve() {
-  // Shard: one unit per (job, seed index), flattened in submission order.
-  // Workers pull from one global queue, so the pool stays saturated across
-  // job boundaries — no per-job fork/join barrier.
+  // Shard: one unit per (job, seed index). Workers pull from one queue, so
+  // the pool stays saturated across job boundaries — no per-job fork/join
+  // barrier. With more than one worker the order is seed-major (every
+  // job's first seed before any job's second): the first units build
+  // different jobs' workloads at the same time, and no worker waits on a
+  // sibling's build. Inline, job-major order keeps each job's graph bound
+  // and in cache across its seeds.
   struct Unit {
     std::uint32_t job;
     std::uint32_t run;
@@ -101,6 +112,18 @@ BatchResult BatchServer::serve() {
       units.push_back({static_cast<std::uint32_t>(j), r});
     }
   }
+  sim::WorkerPool* pool = opts_.pool;
+  if (pool == nullptr) {
+    const unsigned wanted = sim::resolve_threads(opts_.threads, units.size());
+    if (!own_pool_ || own_pool_->workers() < wanted) {
+      own_pool_.emplace(wanted);
+    }
+    pool = &*own_pool_;
+  }
+  if (pool->workers() > 1) {
+    std::stable_sort(units.begin(), units.end(),
+                     [](Unit a, Unit b) { return a.run < b.run; });
+  }
 
   // A RunDetail describes one run; it has no meaning for a larger batch.
   DISTAPX_ENSURE(opts_.detail == nullptr || units.size() == 1);
@@ -115,9 +138,7 @@ BatchResult BatchServer::serve() {
   metrics::Counter& runs_total = reg.counter("runs_total");
   metrics::Counter& runs_computed = reg.counter("runs_computed_total");
   metrics::Counter& jobs_materialized = reg.counter("jobs_materialized_total");
-  const std::uint64_t built_eagerly = std::exchange(built_at_submit_, 0);
-  jobs_materialized.inc(built_eagerly);
-  std::atomic<std::uint64_t> materialized{built_eagerly};
+  std::atomic<std::uint64_t> materialized{0};
   // Per-job histogram handles resolved once, outside the unit loop: the
   // registry lookup (mutex + map walk) must not sit on the per-seed path.
   std::vector<metrics::Histogram*> job_hist(jobs_.size());
@@ -128,13 +149,13 @@ BatchResult BatchServer::serve() {
   }
 
   std::atomic<std::uint64_t> cache_hits{0};
-  // Key-first: a job's workload is built by its first missed unit, once;
-  // units of the same job wait for it, other jobs build concurrently.
+  // Key-first: a job's workload is built by its first unit that computes,
+  // once; units of the same job wait for it, other jobs build concurrently.
   std::vector<std::once_flag> built(jobs_.size());
   auto ensure_materialized = [&](std::uint32_t job_index) {
     std::call_once(built[job_index], [&] {
       ResolvedJob& job = jobs_[job_index];
-      if (job.materialized) return;  // built by submit() or a prior serve()
+      if (job.materialized) return;  // built by a prior serve()
       trace::ScopedSpan span("materialize");
       span.annotate("job", job.spec.name);
       materialize_job(job);
@@ -147,7 +168,7 @@ BatchResult BatchServer::serve() {
     const auto t0 = std::chrono::steady_clock::now();
     sim::RunOptions run_opts = job.spec.run_options(seed);
     run_opts.workspace = &ws;
-    ws.hold(job.graph);  // alive and unchanged until this serve() ends
+    ws.hold(job.graph);  // alive and unchanged until the batch returns
     RunRow row = job.algorithm->run(job, run_opts, opts_.detail);
     job_hist[job_index]->observe(
         std::chrono::duration<double, std::milli>(
@@ -156,68 +177,57 @@ BatchResult BatchServer::serve() {
     runs_computed.inc();
     return row;
   };
-  std::span<sim::Workspace> workspaces = opts_.workspaces;
-  const unsigned threads = sim::resolve_threads(opts_.threads, units.size());
-  if (workspaces.empty()) {
-    if (workspaces_.size() < threads) workspaces_.resize(threads);
-    workspaces = workspaces_;
-  }
-  workspaces =
-      workspaces.first(std::min<std::size_t>(threads, workspaces.size()));
-  // Graph addresses repeat across requests (jobs_ and the graphs of an
-  // earlier serve() may be gone), so no binding survives into this one.
-  for (sim::Workspace& ws : workspaces) ws.reset();
   const trace::Context trace_context{opts_.trace, opts_.trace_parent};
-  const unsigned workers = sim::for_each_index(
-      units.size(), workspaces, [&](sim::Workspace& ws, std::size_t i) {
-        // Spawned workers start with no trace context of their own, so the
-        // job's collector is installed explicitly for every unit.
-        const trace::ContextGuard trace_guard(trace_context);
-        const Unit u = units[i];
-        const ResolvedJob& job = jobs_[u.job];
-        const std::uint64_t seed = job.spec.seed_at(u.run);
-        runs_total.inc();
-        std::optional<Fingerprint> key;
-        if (opts_.cache != nullptr) {
-          key = run_fingerprint(job.cache_key_prefix, seed);
-          std::optional<CachedRun> cached;
-          {
-            trace::ScopedSpan span("cache-lookup");
-            span.annotate("seed", seed);
-            cached = opts_.cache->lookup(*key);
-          }
-          if (cached) {
-            rows[u.job][u.run] = cached->row;
-            hit_facts[u.job][u.run] = cached->facts;
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          ensure_materialized(u.job);
-        }
-        {
-          trace::ScopedSpan span("compute");
-          span.annotate("algo", job.spec.algorithm);
-          span.annotate("seed", seed);
-          rows[u.job][u.run] = timed_dispatch(job, ws, seed, u.job);
-        }
-        if (key) {
-          try {
-            trace::ScopedSpan span("cache-store");
-            span.annotate("seed", seed);
-            opts_.cache->store(*key, rows[u.job][u.run], job.facts);
-          } catch (const JobError&) {
-            // A fill failure (disk full, unwritable cache dir) degrades
-            // this unit to uncached serving; the computed row is already
-            // in hand and must not be discarded, let alone fail the
-            // batch. The next lookup of this key simply misses again.
-          }
-        }
-      });
+  pool->run(units.size(), [&](sim::Workspace& ws, std::size_t i) {
+    // Spawned workers start with no trace context of their own, so the
+    // job's collector is installed explicitly for every unit.
+    const trace::ContextGuard trace_guard(trace_context);
+    const Unit u = units[i];
+    const ResolvedJob& job = jobs_[u.job];
+    const std::uint64_t seed = job.spec.seed_at(u.run);
+    runs_total.inc();
+    std::optional<Fingerprint> key;
+    if (opts_.cache != nullptr) {
+      key = run_fingerprint(job.cache_key_prefix, seed);
+      std::optional<CachedRun> cached;
+      {
+        trace::ScopedSpan span("cache-lookup");
+        span.annotate("seed", seed);
+        cached = opts_.cache->lookup(*key);
+      }
+      if (cached) {
+        rows[u.job][u.run] = cached->row;
+        hit_facts[u.job][u.run] = cached->facts;
+        cache_hits.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    ensure_materialized(u.job);
+    {
+      trace::ScopedSpan span("compute");
+      span.annotate("algo", job.spec.algorithm);
+      span.annotate("seed", seed);
+      rows[u.job][u.run] = timed_dispatch(job, ws, seed, u.job);
+    }
+    if (key) {
+      try {
+        trace::ScopedSpan span("cache-store");
+        span.annotate("seed", seed);
+        opts_.cache->store(*key, rows[u.job][u.run], job.facts);
+      } catch (const JobError&) {
+        // A fill failure (disk full, unwritable cache dir) degrades
+        // this unit to uncached serving; the computed row is already
+        // in hand and must not be discarded, let alone fail the
+        // batch. The next lookup of this key simply misses again.
+      }
+    }
+  });
 
   BatchResult result;
   result.cache_hits = cache_hits.load(std::memory_order_relaxed);
   result.materialized = materialized.load(std::memory_order_relaxed);
-  result.threads_used = workers;
+  result.threads_used = static_cast<unsigned>(std::clamp<std::size_t>(
+      units.size(), 1, pool->workers()));
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -2,18 +2,19 @@
 //
 // This subsystem serves an arbitrary *mix* of jobs — different graphs,
 // different algorithms, different seed ranges — over one shared set of
-// workers. Every job is sharded into per-seed work units that run on the
-// sim::for_each_index fork/join (sim/run_many.hpp), with the calling thread
-// as one of the workers; workers pull units from one global queue, so a
-// long job's tail does not idle the threads that finished a short job (the
-// win bench_batch_serving measures).
+// workers. Every job is sharded into per-seed work units that run on a
+// sim::WorkerPool (sim/worker_pool.hpp); workers pull units from one
+// queue, so a long job's tail does not idle the workers that finished a
+// short job (the win bench_batch_serving measures). A job's first unit
+// builds its workload (graph + weights), so the graphs of a batch are
+// built in parallel too.
 //
-// Worker t runs every unit it picks up in workspace t (sim/workspace.hpp):
-// a Network that stays bound while consecutive units share a job graph,
-// and the aggregation engine's buffers. The workspaces belong to the
-// worker's owner — a socket lane passes its own set in
-// BatchOptions::workspaces, and a BatchServer without one keeps its own
-// for all its serve() calls — so the buffers settle per owner, not per
+// Every worker runs its units in its own workspace (sim/workspace.hpp): a
+// Network that stays bound while consecutive units share a job graph, and
+// the aggregation engine's buffers. The workers belong to the pool's owner
+// — a socket server passes the pool all its lanes share in
+// BatchOptions::pool, and a BatchServer without one keeps its own pool for
+// all its serve() calls — so the buffers settle per owner, not per
 // serve(): serving heterogeneous jobs back-to-back stops allocating engine
 // buffers once the largest run in the mix has been seen.
 //
@@ -24,12 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "service/job_spec.hpp"
-#include "sim/workspace.hpp"
+#include "sim/worker_pool.hpp"
 #include "support/fingerprint.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -116,8 +117,9 @@ struct BatchResult {
   /// Jobs whose workload (graph + weights) was built for this batch. With
   /// a cache attached, only jobs with at least one missed seed are built.
   std::uint64_t materialized = 0;
-  /// Workers that ran: resolve_threads(threads, units), or fewer when the
-  /// process could not spawn them all.
+  /// Workers available to the batch: min(pool workers, units), at least
+  /// 1. The pool has fewer workers than asked for when the process could
+  /// not spawn them all.
   unsigned threads_used = 0;
   double wall_seconds = 0;  ///< timing only; excluded from determinism
 };
@@ -125,14 +127,15 @@ struct BatchResult {
 class ResultCache;  // service/result_cache.hpp
 
 struct BatchOptions {
-  /// Worker threads; 0 = hardware concurrency (clamped to the unit count).
+  /// Workers of the server's own pool; 0 = hardware concurrency. 1 runs
+  /// every unit inline on the caller of serve(). Unused when `pool` is set.
   unsigned threads = 0;
   /// Optional result cache: hits skip execution, misses are computed and
   /// filled. Rows are bit-identical either way (the cache stores the full
   /// RunRow keyed on everything it depends on — see result_cache.hpp).
-  /// With a cache, resolution is key-first: submit() only validates, and
-  /// serve() builds a job's workload only when one of its seeds misses, so
-  /// a fully cached job never generates or opens its graph.
+  /// With a cache, resolution is key-first: serve() builds a job's
+  /// workload only when one of its seeds misses, so a fully cached job
+  /// never generates or opens its graph.
   /// Open the cache with a byte budget (ResultCache's second constructor
   /// argument, the CLI's --cache-budget) to keep it LRU-bounded while
   /// serving. Not owned; must outlive serve().
@@ -144,19 +147,18 @@ struct BatchOptions {
   /// serve().
   metrics::Registry* registry = nullptr;
   /// Span destination: each (job, seed) unit records cache-lookup /
-  /// compute / cache-store child spans, and each job built during serve() a
+  /// compute / cache-store child spans, and each job's workload build a
   /// materialize span, under `trace_parent` (the caller's open span — the
   /// socket lane's lane-execute).
   /// Null = no tracing. Not owned; must outlive serve(). The collector is
   /// thread-safe, so all workers share it.
   trace::Collector* trace = nullptr;
   std::uint32_t trace_parent = 0;
-  /// The caller's workspaces, one per worker: workers = min(threads,
-  /// workspaces.size()). Their bindings are reset at the start of every
-  /// serve(), since the graphs of earlier requests are gone. Empty = the
-  /// server's own set, kept across its serve() calls. Not owned; must
-  /// outlive serve().
-  std::span<sim::Workspace> workspaces = {};
+  /// The caller's worker pool, which may serve other callers' batches at
+  /// the same time (the socket lanes share one). Null = the server's own
+  /// pool of `threads` workers, kept across its serve() calls. Not owned;
+  /// must outlive serve().
+  sim::WorkerPool* pool = nullptr;
   /// Optional sink for the computed run's RunDetail (solution ids and
   /// algorithm-specific facts). Only for a batch of exactly one (job,
   /// seed) unit — the CLI single run. Not owned; must outlive serve().
@@ -169,10 +171,12 @@ class BatchServer {
  public:
   explicit BatchServer(BatchOptions opts = {}) : opts_(opts) {}
 
-  /// Validates and enqueues a job; returns its index. Without a cache the
-  /// workload is materialized here too. Throws on a spec that cannot be
-  /// resolved (nothing is partially enqueued); with a cache, an unreadable
-  /// graph file only fails serve(), and only if one of its seeds misses.
+  /// Validates and enqueues a job; returns its index. Builds nothing: the
+  /// job's first unit in serve() does. Throws on an invalid spec (nothing
+  /// is partially enqueued). Without a cache every seed needs the
+  /// workload, so a malformed generator spec or a graph file that cannot
+  /// be opened fails here too; with a cache, an unreadable graph file only
+  /// fails serve(), and only if one of its seeds misses.
   std::size_t submit(JobSpec spec);
 
   /// Convenience: submit every job of a parsed file.
@@ -183,9 +187,11 @@ class BatchServer {
     return jobs_.at(i);
   }
 
-  /// Runs every remaining (job, seed) unit to completion and returns the
-  /// structured results. With a cache, each unit looks up its key first;
-  /// the first miss of a job materializes that job (once, in the pool).
+  /// Runs every (job, seed) unit to completion and returns the structured
+  /// results. Units are ordered seed-major (every job's first seed before
+  /// any job's second), so different jobs' workloads build concurrently.
+  /// With a cache, each unit looks up its key first; the first unit of a
+  /// job that computes materializes that job (once, in the pool).
   /// Rethrows the first per-run exception after the pool drains. May be
   /// called once per submitted batch; jobs stay submitted, so a second
   /// serve() re-runs the same batch.
@@ -194,8 +200,7 @@ class BatchServer {
  private:
   BatchOptions opts_;
   std::vector<ResolvedJob> jobs_;
-  std::vector<sim::Workspace> workspaces_;  ///< when opts_ names none
-  std::uint64_t built_at_submit_ = 0;  ///< not yet counted by a serve()
+  std::optional<sim::WorkerPool> own_pool_;  ///< when opts_ names none
 };
 
 // ---- report emission (console / CSV / JSON via support/table) ------------

@@ -12,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -24,7 +23,7 @@
 #include "service/job_spec.hpp"
 #include "service/report_sink.hpp"
 #include "sim/run_many.hpp"
-#include "sim/workspace.hpp"
+#include "sim/worker_pool.hpp"
 #include "support/log.hpp"
 
 namespace distapx::service {
@@ -227,21 +226,20 @@ SocketServerStats SocketServer::run() {
   bool lanes_exit = false;              // guarded by mu
 
   const auto execute = [this](PendingJob& job, std::uint32_t exec_span,
-                               std::span<sim::Workspace> workspaces) {
+                               sim::WorkerPool& pool) {
     Completion done;
     done.conn_id = job.conn_id;
     done.conn_seq = job.conn_seq;
     try {
       std::istringstream is(job.payload);
       BatchOptions batch_opts;
-      batch_opts.threads = opts_.threads;
       batch_opts.cache = cache();
       batch_opts.registry = reg_;
       // Per-seed child spans (cache-lookup / compute / cache-store) hang
       // off this lane's execute span.
       batch_opts.trace = job.tracer.get();
       batch_opts.trace_parent = exec_span;
-      batch_opts.workspaces = workspaces;
+      batch_opts.pool = &pool;
       BatchServer server(batch_opts);
       server.submit_all(parse_job_file(is));
       if (server.num_jobs() == 0) throw JobError("job file contains no jobs");
@@ -276,11 +274,19 @@ SocketServerStats SocketServer::run() {
     return done;
   };
 
+  // With threads >= 2, one pool of lanes x threads workers runs the units
+  // of every lane's SUBMIT: a lane posts its batch and sleeps until it is
+  // done. With one thread, each lane runs its SUBMITs inline in a pool of
+  // its own. Created before the lanes and destroyed after they join.
+  const unsigned threads = sim::resolve_threads(
+      opts_.threads, std::numeric_limits<std::size_t>::max());
+  std::optional<sim::WorkerPool> shared_pool;
+  if (threads >= 2) shared_pool.emplace(lane_count * threads);
+
   const auto lane_loop = [&] {
-    // The lane's engine buffers, one workspace per worker of its SUBMITs:
-    // they outlive every request the lane serves.
-    std::vector<sim::Workspace> workspaces(sim::resolve_threads(
-        opts_.threads, std::numeric_limits<std::size_t>::max()));
+    std::optional<sim::WorkerPool> inline_pool;
+    if (!shared_pool) inline_pool.emplace(1);
+    sim::WorkerPool& pool = shared_pool ? *shared_pool : *inline_pool;
     for (;;) {
       PendingJob job;
       {
@@ -309,7 +315,7 @@ SocketServerStats SocketServer::run() {
         exec_span = tr->begin("lane-execute");
       }
       const auto exec_start = Clock::now();
-      Completion done = execute(job, exec_span, workspaces);
+      Completion done = execute(job, exec_span, pool);
       const auto exec_end = Clock::now();
       if (tr != nullptr) {
         if (!done.ok) tr->annotate(exec_span, "outcome", "error");

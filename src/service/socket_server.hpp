@@ -12,8 +12,10 @@
 // listener, a self-pipe, and every client connection through poll(2),
 // with a per-connection frame-decoding state machine; N executor lanes
 // (`lanes`) pull submitted job files from per-connection FIFO queues and
-// run each through a cache-backed BatchServer whose worker pool
-// (`threads`) is shared by all clients.
+// run each through a cache-backed BatchServer. With `threads` >= 2 the
+// units of every lane's SUBMITs run on one sim::WorkerPool of lanes x
+// threads workers (sim/worker_pool.hpp) while the lane sleeps; with one
+// thread each lane runs its SUBMITs inline.
 //
 // Scheduling is fair, not globally FIFO: lanes pick the next job
 // round-robin across connections, so a client pipelining a burst of
@@ -73,17 +75,21 @@ struct SocketServerOptions {
   /// anything else = Unix path). TCP port 0 binds an ephemeral port —
   /// read the real one back from endpoint().
   net::Endpoint endpoint;
-  /// BatchServer worker threads per job (0 = hardware concurrency).
+  /// Worker threads per lane (0 = hardware concurrency). With 2 or more,
+  /// one pool of lanes x threads workers, shared by every lane, runs the
+  /// (job, seed) units of all SUBMITs, each job's graph build included;
+  /// with 1, each lane runs its SUBMITs' units inline.
   unsigned threads = 0;
   /// Executor lanes: SUBMITs that may execute concurrently. 0 = auto
   /// (min(hardware concurrency, 8)); an explicit value is honored as
   /// given (lanes beyond the core count still provide head-of-line
   /// isolation — a long sweep timeshares instead of serializing).
-  /// A lane's own thread is one of its SUBMIT's `threads` workers, so
-  /// total worker threads can momentarily reach lanes x threads. Each
-  /// lane keeps one sim::Workspace per worker for its lifetime, so the
-  /// engine buffers retained are at most lanes x threads x the largest
-  /// run's working set — the concurrent peak of the runs themselves.
+  /// A lane picks, parses, renders and responds, and sleeps while its
+  /// units run, so the threads are the I/O thread, the lanes and the
+  /// pool's lanes x threads workers. Each pool worker (or inline lane)
+  /// keeps one sim::Workspace for its lifetime, so the engine buffers
+  /// retained are at most lanes x threads x the largest run's working
+  /// set — the concurrent peak of the runs themselves.
   unsigned lanes = 0;
   /// Result-cache directory; empty = serve without a cache.
   std::string cache_dir;

@@ -88,7 +88,8 @@ struct RunMetrics {
 };
 
 /// Accumulates `b` into `a` as a sequential composition: rounds, messages
-/// and bits add; the congestion high-water mark is the max.
+/// and bits add; the congestion high-water mark is the max; the cap is the
+/// strictest any phase ran under.
 inline RunMetrics& accumulate(RunMetrics& a, const RunMetrics& b) {
   a.rounds += b.rounds;
   a.messages += b.messages;
@@ -96,6 +97,10 @@ inline RunMetrics& accumulate(RunMetrics& a, const RunMetrics& b) {
   a.max_edge_bits = a.max_edge_bits > b.max_edge_bits ? a.max_edge_bits
                                                       : b.max_edge_bits;
   a.completed = a.completed && b.completed;
+  if (b.bandwidth_cap != 0 &&
+      (a.bandwidth_cap == 0 || b.bandwidth_cap < a.bandwidth_cap)) {
+    a.bandwidth_cap = b.bandwidth_cap;
+  }
   return a;
 }
 

@@ -1,15 +1,15 @@
-// The seed-parallel fork/join every multi-seed path runs on.
+// The seed-parallel scheduling every multi-seed path runs on.
 //
 // The property sweeps, the Table-1 benches and the batch server all share
 // one shape: many fully independent units of work (one per seed, or per
-// (job, seed)), each writing its own result slot. for_each_index() is the
-// one scheduler for that shape: an atomic cursor, a first-error slot and a
-// fork/join in which the calling thread is worker 0. Worker t works in the
-// caller-owned states[t] — the batch server passes its owner's
-// sim::Workspace set, so a worker's engine buffers outlive the call, not
-// just one run. The form that takes a thread count builds the states for
-// one call; run_many_tasks() is the stateless convenience form that
-// collects one result per seed.
+// (job, seed)), each writing its own result slot. IndexBatch is the one
+// claim/cancel/rethrow implementation for that shape: an atomic cursor, a
+// first-error slot and a cancel. Two executors drain it:
+//  - for_each_index() forks threads for one call, with the calling thread
+//    as worker 0 (the benches, the sweeps, run_many_tasks());
+//  - sim::WorkerPool (sim/worker_pool.hpp) keeps its workers for life and
+//    shares them between the batches of concurrent callers (the serving
+//    tiers).
 //
 // Determinism: a unit's result depends only on its index (and whatever the
 // body reads for it) — never on the thread count or on scheduling order —
@@ -34,42 +34,89 @@ namespace distapx::sim {
 /// hardware concurrency when 0), clamped to [1, jobs].
 unsigned resolve_threads(unsigned requested, std::size_t jobs);
 
-/// Calls body(states[t], i) once for every i in [0, count), spread over
-/// min(states.size(), count) workers (at least one) that pull indices from
-/// one shared cursor; worker t uses states[t] for every index it runs.
-/// The calling thread is worker 0 and spawns the others. A spawn that
-/// fails (e.g. the process thread limit) stops spawning: the workers
-/// already running finish every index, so results are the same with fewer
-/// workers. The first exception a body throws cancels the remaining
-/// indices and is rethrown after every started thread has joined. Returns
-/// the number of workers that ran. Requires a non-empty `states`.
-template <typename State, typename Body>
-unsigned for_each_index(std::size_t count, std::span<State> states,
-                        Body&& body) {
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  auto drain = [&](State& state) {
+/// The indices [0, count) of one batch of independent units, claimed one
+/// at a time by any number of workers. A unit that throws cancels every
+/// index not yet claimed; the batch's first exception is kept for its
+/// caller.
+class IndexBatch {
+ public:
+  explicit IndexBatch(std::size_t count) noexcept : count_(count) {}
+  IndexBatch(const IndexBatch&) = delete;
+  IndexBatch& operator=(const IndexBatch&) = delete;
+
+  /// Claims the next index into `i`; false once every index is claimed or
+  /// the batch was cancelled.
+  bool claim(std::size_t& i) noexcept {
+    i = next_.fetch_add(1, std::memory_order_relaxed);
+    return i < count_;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+  /// True once no index is left to claim.
+  [[nodiscard]] bool exhausted() const noexcept {
+    return next_.load(std::memory_order_relaxed) >= count_;
+  }
+
+  /// Runs unit(i); an exception it throws is kept and cancels the rest.
+  template <typename Unit>
+  void run(Unit& unit, std::size_t i) noexcept {
     try {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        body(state, i);
-      }
+      unit(i);
     } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-      next.store(count, std::memory_order_relaxed);  // cancel the rest
+      fail(std::current_exception());
     }
+  }
+
+  /// Claims and runs indices until none is left.
+  template <typename Unit>
+  void drain(Unit& unit) noexcept {
+    std::size_t i = 0;
+    while (claim(i)) run(unit, i);
+  }
+
+  /// Rethrows the first exception a unit threw. Call once every claimed
+  /// unit has returned.
+  void rethrow_if_failed() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  void fail(std::exception_ptr error) noexcept {
+    {
+      const std::lock_guard<std::mutex> lock(error_mu_);
+      if (!error_) error_ = std::move(error);
+    }
+    next_.store(count_, std::memory_order_relaxed);  // cancel the rest
+  }
+
+  const std::size_t count_;
+  std::atomic<std::size_t> next_{0};
+  std::mutex error_mu_;
+  std::exception_ptr error_;
+};
+
+/// Calls body(states[t], i) once for every i in [0, count), spread over
+/// resolve_threads(threads, count) workers that drain one IndexBatch;
+/// worker t uses its own default-constructed State for every index it
+/// runs, and the states live for this call. The calling thread is worker 0
+/// and spawns the others. A spawn that fails (e.g. the process thread
+/// limit) stops spawning: the workers already running finish every index,
+/// so results are the same with fewer workers. The first exception a body
+/// throws cancels the remaining indices and is rethrown after every
+/// started thread has joined. Returns the number of workers that ran.
+template <typename State, typename Body>
+unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
+  std::vector<State> states(resolve_threads(threads, count));
+  IndexBatch batch(count);
+  const auto drain = [&](State& state) {
+    auto unit = [&](std::size_t i) { body(state, i); };
+    batch.drain(unit);
   };
-  const auto workers = static_cast<unsigned>(std::max<std::size_t>(
-      1, std::min<std::size_t>(states.size(), count)));
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
+  pool.reserve(states.size() - 1);
   try {
-    for (unsigned t = 1; t < workers; ++t) {
+    for (std::size_t t = 1; t < states.size(); ++t) {
       pool.emplace_back(drain, std::ref(states[t]));
     }
   } catch (...) {
@@ -78,16 +125,8 @@ unsigned for_each_index(std::size_t count, std::span<State> states,
   }
   drain(states[0]);
   for (std::thread& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  batch.rethrow_if_failed();
   return static_cast<unsigned>(pool.size()) + 1;
-}
-
-/// The same over resolve_threads(threads, count) default-constructed
-/// States that live for this call.
-template <typename State, typename Body>
-unsigned for_each_index(std::size_t count, unsigned threads, Body&& body) {
-  std::vector<State> states(resolve_threads(threads, count));
-  return for_each_index(count, std::span<State>(states), body);
 }
 
 /// Deterministic seed-parallel map: results[i] = task(seeds[i], i). `task`

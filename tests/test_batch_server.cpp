@@ -23,7 +23,7 @@
 #include "service/report_sink.hpp"
 #include "service/result_cache.hpp"
 #include "sim/network.hpp"
-#include "sim/workspace.hpp"
+#include "sim/worker_pool.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -426,10 +426,11 @@ TEST(BatchServer, ServeTwiceIsIdempotent) {
 
 // ---- worker workspaces that outlive the request ----------------------------
 //
-// A socket lane or a batch invocation keeps one sim::Workspace per worker
-// across requests. Graph addresses repeat across requests, so serve()
-// resets every binding first; a run that throws leaves its workspace
-// reusable. Either way the rows are a fresh server's.
+// The workers of a sim::WorkerPool keep one sim::Workspace each across
+// requests — a socket server's shared pool, or a batch server's own.
+// Graph addresses repeat across requests, so a worker resets its binding
+// whenever it takes a unit of another batch; a run that throws leaves its
+// workspace reusable. Either way the rows are a fresh server's.
 
 std::string csv_of(const Table& t) {
   std::ostringstream os;
@@ -443,7 +444,7 @@ std::vector<service::JobSpec> specs_of(const std::string& file) {
 }
 
 TEST(WorkspaceServing, OneSetServesManyJobFilesLikeFreshServers) {
-  std::vector<sim::Workspace> workspaces(2);
+  sim::WorkerPool pool(2);
   const std::vector<std::string> files = test::workspace_job_files();
   ASSERT_GE(files.size(), 20u);
   std::set<std::string> algos;
@@ -451,8 +452,7 @@ TEST(WorkspaceServing, OneSetServesManyJobFilesLikeFreshServers) {
     SCOPED_TRACE("file " + std::to_string(f));
     const auto specs = specs_of(files[f]);
     service::BatchOptions kept;
-    kept.threads = 2;
-    kept.workspaces = workspaces;
+    kept.pool = &pool;
     service::BatchServer server(kept);
     server.submit_all(specs);
     service::BatchServer fresh({1});
@@ -582,6 +582,27 @@ TEST(KeyFirst, SecondServeOnTheSameServerReRunsTheBatch) {
   expect_same_rows(first, second);
   EXPECT_EQ(csv_of(service::summary_table(first)),
             csv_of(service::summary_table(second)));
+}
+
+TEST(KeyFirst, WithoutACacheSubmitOnlyValidatesAndServeBuildsEachJobOnce) {
+  service::BatchServer server({4});
+  server.submit_all(mixed_jobs());
+  for (std::size_t j = 0; j < server.num_jobs(); ++j) {
+    EXPECT_FALSE(server.job(j).materialized) << j;
+  }
+  // A generator spec that cannot be built still fails submit().
+  service::JobSpec bad = mixed_jobs()[0];
+  bad.gen_spec = "gnp:many:0.1";
+  EXPECT_THROW(server.submit(bad), std::exception);
+  ASSERT_EQ(server.num_jobs(), 4u);
+
+  const auto first = server.serve();
+  EXPECT_EQ(first.materialized, 4u);
+  for (std::size_t j = 0; j < server.num_jobs(); ++j) {
+    EXPECT_TRUE(server.job(j).materialized) << j;
+  }
+  EXPECT_EQ(server.serve().materialized, 0u);  // built once per server
+  expect_same_rows(first, serve_mixed(1));
 }
 
 /// A job over a graph file that the test deletes between serves.

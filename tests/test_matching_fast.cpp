@@ -157,6 +157,21 @@ TEST(ProposalBudget, OptimizedKBeatsFixedSmallK) {
   EXPECT_LE(topt, t2 + 1);
 }
 
+TEST(ProposalBudget, LaterRepetitionsKeepTheJobGraphsCap) {
+  // Each repetition runs on the bipartite subgraph of the nodes still
+  // unmatched. Its cap stays that of the job graph's n (9 bits at
+  // congest:1 for n = 300), not that of the remainder (8 bits: 48 nodes
+  // are left after the first repetition).
+  Rng rng(8);
+  const Graph g = gen::gnp(300, 0.02, rng);
+  sim::RunOptions opts = test::run_opts(1);
+  opts.policy = sim::BandwidthPolicy::congest(1);
+  const auto res = run_proposal_matching(g, opts, ProposalParams{});
+  EXPECT_EQ(res.matching.size(), 126u);
+  EXPECT_EQ(res.metrics.bandwidth_cap, 9u);
+  EXPECT_LE(res.metrics.max_edge_bits, res.metrics.bandwidth_cap);
+}
+
 class ProposalSeeds : public ::testing::TestWithParam<int> {};
 
 TEST_P(ProposalSeeds, BipartiteMatchingQuality) {

@@ -8,6 +8,7 @@
 #include "mis/greedy.hpp"
 #include "mis/luby.hpp"
 #include "mis/nmis_agg.hpp"
+#include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "test_helpers.hpp"
 
@@ -147,6 +148,34 @@ TEST(Nmis, ThenLubyIsMaximal) {
     EXPECT_TRUE(is_maximal_independent_set(g, res.independent_set));
     EXPECT_TRUE(res.undecided.empty());
   }
+}
+
+TEST(Nmis, ThenLubyIsCappedByTheJobGraphsN) {
+  // The Luby phase runs on the induced subgraph of the 397 nodes NMIS
+  // leaves undecided in 4 iterations, yet its CONGEST cap is the job
+  // graph's: 11 bits per unit of the multiplier for n = 1500, where the
+  // subgraph's own n would give 9. Luby sends 4 + 18 bits there.
+  Rng rng(7);
+  const Graph g = gen::gnp(1500, 0.004, rng);
+  NmisParams params;
+  params.iterations = 4;
+  sim::RunOptions opts = test::run_opts(1);
+  opts.policy = sim::BandwidthPolicy::congest(1);
+  ASSERT_EQ(run_nmis(g, opts, params).undecided.size(), 397u);
+  try {
+    run_nmis_then_luby(g, opts, params);
+    ADD_FAILURE() << "22-bit messages fit an 11-bit cap";
+  } catch (const EnsureError& e) {
+    EXPECT_NE(std::string(e.what()).find("(cap 11)"), std::string::npos)
+        << e.what();
+  }
+  // At congest:2 the job's cap is 22 bits: they fit (the subgraph's 18
+  // would not).
+  opts.policy = sim::BandwidthPolicy::congest(2);
+  const auto res = run_nmis_then_luby(g, opts, params);
+  EXPECT_EQ(res.metrics.max_edge_bits, 22u);
+  EXPECT_EQ(res.metrics.bandwidth_cap, 22u);
+  EXPECT_TRUE(is_maximal_independent_set(g, res.independent_set));
 }
 
 TEST(Nmis, LargerKTradesRounds) {

@@ -1,14 +1,20 @@
 // Determinism and robustness tests for the seed-parallel scheduler
 // (for_each_index and run_many_tasks): the same seed set must produce
 // bit-identical outputs on 1 thread and on N threads, and across two
-// invocations, with every worker reusing one Network across its runs.
+// invocations, with every worker reusing one Network across its runs. The
+// WorkerPool suite pins the persistent pool the serving tiers share:
+// round-robin claims across concurrent batches, per-batch cancel, spawn
+// failure and the batch-switch workspace reset.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "graph/algos.hpp"
@@ -18,6 +24,8 @@
 #include "mis/mis.hpp"
 #include "sim/network.hpp"
 #include "sim/run_many.hpp"
+#include "sim/worker_pool.hpp"
+#include "sim/workspace.hpp"
 #include "support/assert.hpp"
 #include "test_helpers.hpp"
 
@@ -259,6 +267,202 @@ TEST(RunManyTasks, SpawnFailureRunsOnFewerWorkers) {
           same = sim::run_many_tasks(seeds, 4, task) == serial;
         }
         std::_Exit(same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// ---- the persistent worker pool ---------------------------------------------
+
+/// Luby on `g` once per seed through `pool`, each unit in its worker's
+/// workspace bound to `g` (as the batch server holds its job graphs).
+std::vector<std::vector<std::int64_t>> pool_outputs(
+    sim::WorkerPool& pool, const Graph& g,
+    std::span<const std::uint64_t> seeds) {
+  const auto factory = make_luby_program(g);
+  std::vector<std::vector<std::int64_t>> out(seeds.size());
+  pool.run(seeds.size(), [&](sim::Workspace& ws, std::size_t i) {
+    sim::RunOptions opts = test::run_opts(seeds[i]);
+    opts.workspace = &ws;
+    ws.hold(g);
+    out[i] = sim::run_network(g, factory, opts).outputs;
+  });
+  return out;
+}
+
+std::vector<std::vector<std::int64_t>> fresh_outputs(
+    const Graph& g, std::span<const std::uint64_t> seeds) {
+  std::vector<std::vector<std::int64_t>> out;
+  for (const std::uint64_t seed : seeds) {
+    out.push_back(
+        sim::run_network(g, make_luby_program(g), test::run_opts(seed))
+            .outputs);
+  }
+  return out;
+}
+
+TEST(WorkerPool, ConcurrentCallersEachGetEveryIndexOnce) {
+  sim::WorkerPool pool(3);
+  EXPECT_EQ(pool.workers(), 3u);
+  constexpr int kCallers = 4;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(200, 0));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 5; ++round) {
+        pool.run(hits[c].size(),
+                 [&](sim::Workspace&, std::size_t i) { ++hits[c][i]; });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const auto& h : hits) {
+    for (const int n : h) EXPECT_EQ(n, 5);
+  }
+  pool.run(0, [](sim::Workspace&, std::size_t) { FAIL(); });
+}
+
+TEST(WorkerPool, RowsAreThoseOfFreshRunsAtEveryWorkerCount) {
+  Rng rng(21);
+  const Graph g = gen::gnp(90, 0.06, rng);
+  const auto seeds = seeds_for(12);
+  const auto want = fresh_outputs(g, seeds);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    sim::WorkerPool pool(threads);
+    EXPECT_EQ(pool_outputs(pool, g, seeds), want) << threads << " threads";
+  }
+}
+
+TEST(WorkerPool, OneThreadRunsInlineOnTheCaller) {
+  sim::WorkerPool pool(1);
+  EXPECT_EQ(pool.workers(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(16);
+  pool.run(ran_on.size(), [&](sim::Workspace&, std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(WorkerPool, AShortBatchDoesNotWaitOutALongOnesQueue) {
+  // Two workers, a long batch of sleeping units in flight: a short batch
+  // posted behind it gets every other claim, so it returns while the long
+  // one still has most of its units unclaimed. A FIFO pool would return
+  // it only after the long batch's last claim.
+  sim::WorkerPool pool(2);
+  constexpr std::size_t kLong = 200;
+  std::atomic<std::size_t> long_done{0};
+  std::thread long_caller([&] {
+    pool.run(kLong, [&](sim::Workspace&, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      long_done.fetch_add(1);
+    });
+  });
+  while (long_done.load() < 4) std::this_thread::yield();
+  std::atomic<int> short_done{0};
+  pool.run(3, [&](sim::Workspace&, std::size_t) { short_done.fetch_add(1); });
+  const std::size_t long_at_short_return = long_done.load();
+  long_caller.join();
+  EXPECT_EQ(short_done.load(), 3);
+  EXPECT_EQ(long_done.load(), kLong);
+  EXPECT_LT(long_at_short_return, kLong / 2);
+}
+
+TEST(WorkerPool, AFailedUnitCancelsOnlyItsOwnBatch) {
+  sim::WorkerPool pool(2);
+  std::atomic<std::size_t> failing_ran{0};
+  std::atomic<std::size_t> healthy_ran{0};
+  std::thread healthy([&] {
+    pool.run(100, [&](sim::Workspace&, std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      healthy_ran.fetch_add(1);
+    });
+  });
+  EXPECT_THROW(pool.run(200,
+                        [&](sim::Workspace&, std::size_t i) {
+                          if (i == 0) throw std::runtime_error("boom");
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(1));
+                          failing_ran.fetch_add(1);
+                        }),
+               std::runtime_error);
+  healthy.join();
+  EXPECT_LT(failing_ran.load(), 100u);  // the rest was cancelled
+  EXPECT_EQ(healthy_ran.load(), 100u);  // the other batch was not
+  // The pool keeps serving after a failure.
+  std::atomic<int> after{0};
+  pool.run(10, [&](sim::Workspace&, std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 10);
+}
+
+TEST(WorkerPool, ABatchSwitchForgetsTheLastBatchsGraph) {
+  // The second batch's graph is built where the first one's was, so a
+  // worker (or an inline pool) that kept its binding across batches would
+  // run the second batch on the first graph's ports and adjacency.
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Rng rng(22);
+    std::optional<Graph> slot;
+    slot.emplace(gen::gnp(120, 0.08, rng));
+    const Graph* const first = &*slot;
+    sim::WorkerPool pool(threads);
+    const auto seeds = seeds_for(16);
+    const auto slow_outputs = [&] {
+      // Sleeping units keep both workers in every batch.
+      std::vector<std::vector<std::int64_t>> out(seeds.size());
+      const auto factory = make_luby_program(*slot);
+      pool.run(seeds.size(), [&](sim::Workspace& ws, std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        sim::RunOptions opts = test::run_opts(seeds[i]);
+        opts.workspace = &ws;
+        ws.hold(*slot);
+        out[i] = sim::run_network(*slot, factory, opts).outputs;
+      });
+      return out;
+    };
+    EXPECT_EQ(slow_outputs(), fresh_outputs(*slot, seeds));
+    slot.reset();
+    slot.emplace(gen::cycle(40));
+    ASSERT_EQ(&*slot, first);
+    EXPECT_EQ(slow_outputs(), fresh_outputs(*slot, seeds));
+  }
+}
+
+TEST(WorkerPool, SpawnFailureServesOnFewerWorkersOrNone) {
+  // A pool that cannot spawn all its workers serves on the ones it got;
+  // one that got none runs every batch inline on its caller.
+  if (!test::OneFreeThreadSlot::possible()) {
+    GTEST_SKIP() << "cannot lower the thread limit in a child process";
+  }
+  Rng rng(23);
+  const Graph g = gen::gnp(80, 0.07, rng);
+  const auto seeds = seeds_for(16);
+  const auto want = fresh_outputs(g, seeds);
+  EXPECT_EXIT(
+      {
+        bool ok = false;
+        {
+          const test::OneFreeThreadSlot one_slot;
+          {
+            // workers() is not pinned: other processes of this uid may
+            // free or take thread slots while the pool spawns.
+            sim::WorkerPool fewer(4);
+            ok = pool_outputs(fewer, g, seeds) == want;
+          }
+          // Take the free slot: a new pool starts no worker at all.
+          std::promise<void> release;
+          std::optional<std::thread> holder;
+          try {
+            holder.emplace([gate = release.get_future()] { gate.wait(); });
+          } catch (const std::system_error&) {
+          }
+          {
+            sim::WorkerPool none(4);
+            ok = ok && pool_outputs(none, g, seeds) == want;
+          }
+          release.set_value();
+          if (holder) holder->join();
+        }
+        std::_Exit(ok ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
 }

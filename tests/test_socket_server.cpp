@@ -211,6 +211,57 @@ TEST(WorkspaceServing, OneSocketLaneServesManyJobFilesLikeFreshServers) {
   }
 }
 
+TEST(WorkerPoolServing, TwoLanesShareOnePoolAcrossConcurrentConnections) {
+  // 2 lanes x 2 threads: one pool of 4 workers runs the units of both
+  // lanes' SUBMITs, job builds included. Four connections submit the job
+  // files interleaved; the violating one gets its ERR, and every other
+  // file's rows are a fresh single-thread server's.
+  ServerFixture fixture([](service::SocketServerOptions& o) {
+    o.threads = 2;
+    o.lanes = 2;
+  });
+  const std::vector<std::string> files = test::workspace_job_files();
+  ASSERT_GE(files.size(), 20u);
+  std::vector<net::ResultPayload> want(files.size());
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    if (f != test::kThrowingJobFile) want[f] = direct_reference(files[f], 1);
+  }
+  constexpr std::size_t kClients = 4;
+  std::vector<std::string> failures(files.size());
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        net::Client client = net::Client::connect(fixture.endpoint());
+        for (std::size_t f = c; f < files.size(); f += kClients) {
+          const net::SubmitOutcome outcome = client.submit(files[f]);
+          if (f == test::kThrowingJobFile) {
+            if (outcome.ok ||
+                outcome.error.find("CONGEST violation") == std::string::npos) {
+              failures[f] = "expected a CONGEST violation, got: " +
+                            (outcome.ok ? "rows" : outcome.error);
+            }
+          } else if (!outcome.ok) {
+            failures[f] = outcome.error;
+          } else if (outcome.result.runs_csv != want[f].runs_csv ||
+                     outcome.result.summary_csv != want[f].summary_csv) {
+            failures[f] = "rows differ from a fresh server's";
+          }
+        }
+      } catch (const std::exception& e) {
+        failures[c] = std::string("client: ") + e.what();
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    EXPECT_TRUE(failures[f].empty()) << "file " << f << ": " << failures[f];
+  }
+  const auto stats = fixture.finish();
+  EXPECT_EQ(stats.results_ok, files.size() - 1);
+  EXPECT_EQ(stats.results_error, 1u);
+}
+
 TEST(SocketServer, ConcurrentClientsSharingOneCacheGetIdenticalRows) {
   const ScopedTempDir cache_dir("distapx-socket-cache");
   ServerFixture fixture([&](service::SocketServerOptions& o) {

@@ -649,19 +649,20 @@ int run_single(int argc, char** argv) {
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
-  const service::ResolvedJob& job = server.job(0);
-  std::cout << job.algorithm->name << ": " << job.algorithm->paper_ref
-            << "\ngraph: n=" << job.facts.n << " m=" << job.facts.m
-            << " Δ=" << job.facts.max_degree << "\n";
+  const service::Algorithm& algorithm = *server.job(0).algorithm;
   service::BatchResult result;
   try {
-    result = server.serve();
+    result = server.serve();  // builds the graph, then runs
   } catch (const std::exception& e) {
     // A violated invariant (e.g. a CONGEST cap breach) is a diagnostic,
     // not a crash.
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
+  const service::JobResult& job = result.jobs.at(0);
+  std::cout << algorithm.name << ": " << algorithm.paper_ref
+            << "\ngraph: n=" << job.n << " m=" << job.m
+            << " Δ=" << job.max_degree << "\n";
   service::runs_table(result).write_csv(std::cout);
   if (!detail.facts.empty()) {
     std::cout << "detail:";
