@@ -1,11 +1,11 @@
 // Distributed (Δ+1)-coloring substrate for Algorithm 3.
 //
 // The paper invokes an O(Δ + log* n)-round deterministic coloring
-// ([BEK14, Bar15]) as a black box. We provide (see DESIGN.md,
-// "Substitutions"):
-//   * linial_coloring     — deterministic: Linial's polynomial color
-//     reduction to O(Δ²) colors in O(log* n) rounds, then the standard
-//     one-class-per-round reduction to Δ+1 (O(Δ²) rounds total).
+// ([BEK14, Bar15]) as a black box. We provide (README, Table-1 notes):
+//   * linial_coloring     — deterministic, O(Δ + log* n) rounds: Linial's
+//     polynomial color reduction to O(Δ²) colors in O(log* n) rounds, an
+//     additive-group stage to O(Δ) colors in O(Δ) rounds, then
+//     one-class-per-round reduction to Δ+1 (coloring/linial.hpp).
 //   * randomized_coloring — O(log n)-round randomized (Δ+1)-coloring.
 //   * greedy_coloring     — sequential baseline / verifier aid.
 #pragma once

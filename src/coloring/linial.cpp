@@ -37,83 +37,102 @@ class LinialProgram final : public sim::NodeProgram {
 
   void init(sim::Ctx& ctx) override {
     color_ = ctx.id();
-    m_current_ = ctx.num_nodes();
-    broadcast_color(ctx);
-    if (total_rounds(ctx) == 0) {
+    nbr_color_.resize(ctx.degree());
+    if (schedule_->total_rounds() == 0) {
       ctx.halt(static_cast<std::int64_t>(color_));
+    } else {
+      broadcast_color(ctx, ctx.num_nodes());
     }
   }
 
   void round(sim::Ctx& ctx) override {
-    const std::uint32_t r = ctx.round();
-    const auto num_steps =
-        static_cast<std::uint32_t>(schedule_->steps.size());
-    if (r <= num_steps) {
-      apply_reduction_step(ctx, schedule_->steps[r - 1]);
-    } else {
-      apply_elimination(ctx, r - num_steps - 1);
+    // Every neighbor announced its id in init() and every later change,
+    // so the table holds each neighbor's current color.
+    for (const auto& d : ctx.inbox()) {
+      DISTAPX_ASSERT(d.msg.type() == kColor);
+      nbr_color_[d.port] = d.msg.field(0);
     }
-    if (r == total_rounds(ctx)) {
-      ctx.halt(static_cast<std::int64_t>(color_));
+    const LinialSchedule& s = *schedule_;
+    const std::uint32_t r = ctx.round();
+    const auto num_steps = static_cast<std::uint32_t>(s.steps.size());
+    const std::uint64_t before = color_;
+    std::uint64_t palette = 0;
+    if (r <= num_steps) {
+      apply_reduction_step(ctx, s.steps[r - 1]);
+      palette = s.steps[r - 1].m_out;
+    } else if (r <= num_steps + s.additive_rounds) {
+      apply_additive_step(s.additive_q);
+      // a = c / q never changes, so colors stay below ceil(m / q)·q <= q²;
+      // b moves over all of [0, q), past the last Linial step's palette.
+      const std::uint64_t q = s.additive_q;
+      palette = (s.final_colors + q - 1) / q * q;
+      if (r == num_steps + s.additive_rounds) {
+        DISTAPX_ENSURE_MSG(color_ < q,
+                           "additive stage left node " << ctx.id()
+                                                       << " at color "
+                                                       << color_);
+      }
     } else {
-      broadcast_color(ctx);
+      const std::uint32_t e = r - num_steps - s.additive_rounds - 1;
+      apply_elimination(ctx, s.elimination_colors() - 1 - e);
+      palette = s.elimination_colors();
+    }
+    if (r == s.total_rounds()) {
+      ctx.halt(static_cast<std::int64_t>(color_));
+    } else if (color_ != before) {
+      broadcast_color(ctx, palette);
     }
   }
 
  private:
-  [[nodiscard]] std::uint32_t total_rounds(const sim::Ctx& ctx) const {
-    const auto steps = static_cast<std::uint32_t>(schedule_->steps.size());
-    const std::uint64_t final_c = schedule_->final_colors;
-    const std::uint64_t target = std::uint64_t{max_degree_} + 1;
-    const std::uint32_t elim =
-        final_c > target ? static_cast<std::uint32_t>(final_c - target) : 0;
-    (void)ctx;
-    return steps + elim;
-  }
-
-  void broadcast_color(sim::Ctx& ctx) {
+  void broadcast_color(sim::Ctx& ctx, std::uint64_t palette) {
     sim::Message m(kColor);
-    m.push(color_, bits_for_count(std::max<std::uint64_t>(m_current_, 2)));
+    m.push(color_, bits_for_count(std::max<std::uint64_t>(palette, 2)));
     ctx.broadcast(m);
   }
 
   void apply_reduction_step(sim::Ctx& ctx, const LinialSchedule::Step& step) {
     DISTAPX_ASSERT(color_ < step.m_in);
+    for (const std::uint64_t theirs : nbr_color_) {
+      DISTAPX_ENSURE_MSG(theirs != color_,
+                         "improper coloring reached node " << ctx.id());
+    }
     // Pick the smallest x in GF(q) where our polynomial differs from every
     // neighbor's. Distinct degree-d polynomials agree on <= d points and we
     // have <= Δ neighbors, so q > d*Δ guarantees existence.
-    std::uint64_t chosen_x = step.q;  // sentinel
     for (std::uint64_t x = 0; x < step.q; ++x) {
       const std::uint64_t mine = poly_eval(color_, step.q, step.degree, x);
-      bool ok = true;
-      for (const auto& d : ctx.inbox()) {
-        DISTAPX_ASSERT(d.msg.type() == kColor);
-        const std::uint64_t theirs_color = d.msg.field(0);
-        DISTAPX_ENSURE_MSG(theirs_color != color_,
-                           "improper coloring reached node " << ctx.id());
-        if (poly_eval(theirs_color, step.q, step.degree, x) == mine) {
-          ok = false;
-          break;
-        }
-      }
+      const bool ok = std::none_of(
+          nbr_color_.begin(), nbr_color_.end(), [&](std::uint64_t theirs) {
+            return poly_eval(theirs, step.q, step.degree, x) == mine;
+          });
       if (ok) {
-        chosen_x = x;
         color_ = x * step.q + mine;
-        break;
+        return;
       }
     }
-    DISTAPX_ENSURE_MSG(chosen_x < step.q, "no valid GF(q) point found");
-    m_current_ = step.m_out;
+    DISTAPX_ENSURE_MSG(false, "no valid GF(q) point found");
   }
 
-  void apply_elimination(sim::Ctx& ctx, std::uint32_t elim_round) {
-    const std::uint64_t victim = schedule_->final_colors - 1 - elim_round;
+  // One round of the additive-group stage on c = a*q + b. Nodes with
+  // a == 0 are finished; the rest fix at b once no neighbor's color, moving
+  // or finished, has b-part b, and otherwise step b by a.
+  void apply_additive_step(std::uint64_t q) {
+    const std::uint64_t a = color_ / q;
+    const std::uint64_t b = color_ % q;
+    if (a == 0) return;
+    const bool blocked =
+        std::any_of(nbr_color_.begin(), nbr_color_.end(),
+                    [&](std::uint64_t theirs) { return theirs % q == b; });
+    color_ = blocked ? a * q + (b + a) % q : b;
+  }
+
+  void apply_elimination(sim::Ctx& ctx, std::uint64_t victim) {
     if (color_ != victim) return;
-    // Recolor into [0, Δ] avoiding fresh neighbor colors (adjacent nodes
+    // Recolor into [0, Δ] avoiding the neighbors' colors (adjacent nodes
     // never share the victim class, so no two recolor simultaneously).
     std::vector<bool> used(max_degree_ + 1, false);
-    for (const auto& d : ctx.inbox()) {
-      const std::uint64_t c = d.msg.field(0);
+    for (const std::uint64_t c : nbr_color_) {
       if (c <= max_degree_) used[static_cast<std::size_t>(c)] = true;
     }
     std::uint64_t c = 0;
@@ -126,7 +145,7 @@ class LinialProgram final : public sim::NodeProgram {
   const LinialSchedule* schedule_;
   std::uint32_t max_degree_;
   std::uint64_t color_ = 0;
-  std::uint64_t m_current_ = 0;
+  std::vector<std::uint64_t> nbr_color_;  ///< last color heard, by port
 };
 
 }  // namespace
@@ -150,10 +169,7 @@ LinialSchedule build_linial_schedule(NodeId n, std::uint32_t max_degree) {
   LinialSchedule schedule;
   const std::uint64_t delta = std::max<std::uint32_t>(max_degree, 1);
   std::uint64_t m = std::max<NodeId>(n, 1);
-  schedule.final_colors = m;
-  if (m <= delta + 1) return schedule;
-
-  for (;;) {
+  while (m > delta + 1) {
     // Try polynomial degrees and keep the one with the smallest result.
     std::uint64_t best_out = m;  // must strictly improve
     LinialSchedule::Step best{};
@@ -176,6 +192,18 @@ LinialSchedule build_linial_schedule(NodeId n, std::uint32_t max_degree) {
     m = best_out;
   }
   schedule.final_colors = m;
+
+  // The d = 2 candidate improves on any m > next_prime(2Δ+1)², so the
+  // fixpoint fits the additive stage's q² colors.
+  const std::uint64_t q = next_prime(2 * delta + 1);
+  DISTAPX_ENSURE_MSG(m <= q * q, "Linial fixpoint " << m << " exceeds q² = "
+                                                    << q * q);
+  schedule.additive_q = q;
+  schedule.additive_rounds = m > q ? static_cast<std::uint32_t>(q) : 0;
+  const std::uint64_t colors = schedule.elimination_colors();
+  const std::uint64_t target = std::uint64_t{max_degree} + 1;
+  schedule.elimination_rounds =
+      colors > target ? static_cast<std::uint32_t>(colors - target) : 0;
   return schedule;
 }
 

@@ -161,6 +161,8 @@ DetLrMatchingResult run_lr_matching_deterministic(
   out.coloring_metrics = coloring.metrics;
   out.num_colors = coloring.num_colors;
   if (!coloring.metrics.completed) return out;
+  DISTAPX_ENSURE_MSG(is_proper_coloring(lg.graph(), coloring.colors),
+                     "Algorithm 3 requires a proper coloring");
 
   const Weight max_w = *std::max_element(w.begin(), w.end());
   ColoringMaxIsAggProgram prog(w, coloring.colors, max_w,

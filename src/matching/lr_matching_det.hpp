@@ -5,7 +5,8 @@
 //
 // The coloring black box is a proper coloring of L(G) — equivalently a
 // proper edge coloring of G — computed with the deterministic Linial
-// substrate on the explicit line graph; its round cost is reported
+// substrate (O(Δ_L + log* m) rounds, Δ_L <= 2Δ - 2 the line graph's max
+// degree) on the explicit line graph; its round cost is reported
 // separately, mirroring how Algorithm 3's O(Δ + log* n) bound charges the
 // coloring to [BEK14].
 //

@@ -6,8 +6,9 @@
 // local-ratio weight reduction and becomes a candidate. After at most Δ+1
 // sweeps every node is a candidate or removed; candidates then join in
 // reverse removal order exactly as in Algorithm 2. With the [BEK14] black
-// box this is O(Δ + log* n) rounds; see DESIGN.md for our coloring
-// substitution (Linial O(Δ² + log* n) or randomized O(log n)).
+// box this is O(Δ + log* n) rounds, and so it is with our deterministic
+// substitute (Linial plus an additive-group stage, O(Δ + log* n)); the
+// randomized one takes O(log n). See README, Table-1 notes.
 //
 // Two rounds per sweep:
 //   phase 0  candidates try to join; locally-max-color nodes send reduce(w)
@@ -22,7 +23,7 @@ namespace distapx {
 
 /// Which coloring substrate to run first.
 enum class ColoringSource {
-  kLinial,      ///< deterministic (O(Δ² + log* n) rounds)
+  kLinial,      ///< deterministic (O(Δ + log* n) rounds)
   kRandomized,  ///< randomized (O(log n) rounds)
 };
 

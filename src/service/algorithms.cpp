@@ -100,7 +100,8 @@ constexpr Algorithm kAlgorithms[] = {
        row.objective = set_weight(job.node_weights, r.independent_set);
        if (detail) {
          detail->solution = r.independent_set;
-         detail->facts = {{"colors", r.num_colors}};
+         detail->facts = {{"colors", r.num_colors},
+                          {"coloring_rounds", r.coloring_metrics.rounds}};
        }
        return row;
      }},
@@ -119,7 +120,10 @@ constexpr Algorithm kAlgorithms[] = {
        sim::RunMetrics m = r.coloring_metrics;
        RunRow row =
            row_from(sim::accumulate(m, r.matching_metrics), opts.seed);
-       if (detail) detail->facts = {{"colors", r.num_colors}};
+       if (detail) {
+         detail->facts = {{"colors", r.num_colors},
+                          {"coloring_rounds", r.coloring_metrics.rounds}};
+       }
        return matching_row(r.matching, &job.edge_weights, row, detail);
      }},
     {"mcm-2eps", "(2+ε)-approx MCM (Thm 3.2)",

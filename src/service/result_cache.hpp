@@ -48,7 +48,7 @@ class CacheManager;  // service/cache_manager.hpp
 /// Bump when the engine or any algorithm changes behavior: old entries
 /// must stop hitting. (Independent of the file-format version inside
 /// result_cache.cpp, which only guards deserialization.)
-inline constexpr std::uint32_t kEngineVersion = 7;
+inline constexpr std::uint32_t kEngineVersion = 8;
 
 /// Accumulator over everything a RunRow depends on *except* the run seed:
 /// engine version, algorithm, canonical workload source, gseed, maxw,

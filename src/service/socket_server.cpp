@@ -166,6 +166,13 @@ unsigned effective_lanes(unsigned requested) {
 
 }  // namespace
 
+unsigned shared_pool_workers(unsigned lanes, unsigned threads,
+                             unsigned hardware_threads) {
+  const std::uint64_t wanted = std::uint64_t{lanes} * threads;
+  return static_cast<unsigned>(
+      std::min<std::uint64_t>(wanted, std::max(2u, hardware_threads)));
+}
+
 SocketServerStats socket_stats_from(const metrics::Snapshot& snap) {
   SocketServerStats s;
   s.connections_accepted = snap.counter_or("connections_accepted_total");
@@ -274,14 +281,18 @@ SocketServerStats SocketServer::run() {
     return done;
   };
 
-  // With threads >= 2, one pool of lanes x threads workers runs the units
-  // of every lane's SUBMIT: a lane posts its batch and sleeps until it is
-  // done. With one thread, each lane runs its SUBMITs inline in a pool of
-  // its own. Created before the lanes and destroyed after they join.
+  // With threads >= 2, one pool of lanes x threads workers (at most the
+  // core count) runs the units of every lane's SUBMIT: a lane posts its
+  // batch and sleeps until it is done. With one thread, each lane runs its
+  // SUBMITs inline in a pool of its own. Created before the lanes and
+  // destroyed after they join.
   const unsigned threads = sim::resolve_threads(
       opts_.threads, std::numeric_limits<std::size_t>::max());
   std::optional<sim::WorkerPool> shared_pool;
-  if (threads >= 2) shared_pool.emplace(lane_count * threads);
+  if (threads >= 2) {
+    shared_pool.emplace(shared_pool_workers(
+        lane_count, threads, std::thread::hardware_concurrency()));
+  }
 
   const auto lane_loop = [&] {
     std::optional<sim::WorkerPool> inline_pool;

@@ -14,8 +14,8 @@
 // (`lanes`) pull submitted job files from per-connection FIFO queues and
 // run each through a cache-backed BatchServer. With `threads` >= 2 the
 // units of every lane's SUBMITs run on one sim::WorkerPool of lanes x
-// threads workers (sim/worker_pool.hpp) while the lane sleeps; with one
-// thread each lane runs its SUBMITs inline.
+// threads workers, capped at the core count (sim/worker_pool.hpp), while
+// the lane sleeps; with one thread each lane runs its SUBMITs inline.
 //
 // Scheduling is fair, not globally FIFO: lanes pick the next job
 // round-robin across connections, so a client pipelining a burst of
@@ -76,9 +76,10 @@ struct SocketServerOptions {
   /// read the real one back from endpoint().
   net::Endpoint endpoint;
   /// Worker threads per lane (0 = hardware concurrency). With 2 or more,
-  /// one pool of lanes x threads workers, shared by every lane, runs the
-  /// (job, seed) units of all SUBMITs, each job's graph build included;
-  /// with 1, each lane runs its SUBMITs' units inline.
+  /// one pool of lanes x threads workers (shared_pool_workers: at most
+  /// the core count), shared by every lane, runs the (job, seed) units of
+  /// all SUBMITs, each job's graph build included; with 1, each lane runs
+  /// its SUBMITs' units inline.
   unsigned threads = 0;
   /// Executor lanes: SUBMITs that may execute concurrently. 0 = auto
   /// (min(hardware concurrency, 8)); an explicit value is honored as
@@ -86,9 +87,9 @@ struct SocketServerOptions {
   /// isolation — a long sweep timeshares instead of serializing).
   /// A lane picks, parses, renders and responds, and sleeps while its
   /// units run, so the threads are the I/O thread, the lanes and the
-  /// pool's lanes x threads workers. Each pool worker (or inline lane)
-  /// keeps one sim::Workspace for its lifetime, so the engine buffers
-  /// retained are at most lanes x threads x the largest run's working
+  /// pool's workers. Each pool worker (or inline lane) keeps one
+  /// sim::Workspace for its lifetime, so the engine buffers retained are
+  /// at most one per pool worker (or lane) x the largest run's working
   /// set — the concurrent peak of the runs themselves.
   unsigned lanes = 0;
   /// Result-cache directory; empty = serve without a cache.
@@ -156,6 +157,14 @@ struct SocketServerStats {
 /// (cache_hits_total, runs_computed_total) — the serving tier no longer
 /// keeps its own copies of those numbers.
 SocketServerStats socket_stats_from(const metrics::Snapshot& snap);
+
+/// Workers of the pool every lane shares at `threads` >= 2: lanes x
+/// threads, capped at max(2, hardware_threads) so a large `--threads`
+/// cannot start thousands of idle workers. `hardware_threads` is
+/// std::thread::hardware_concurrency() (0 = unknown). Rows do not depend
+/// on it.
+unsigned shared_pool_workers(unsigned lanes, unsigned threads,
+                             unsigned hardware_threads);
 
 class SocketServer {
  public:

@@ -744,9 +744,11 @@ TEST(AlgorithmRegistry, NamesKeepTheirPublishedOrder) {
 
 TEST(AlgorithmRegistry, EveryEntryServesItsGoldenRowsAndDetail) {
   // Rows captured before the registry replaced the per-algorithm dispatch
-  // (gnp:120:0.05, gseed=3, seeds 3 and 4). Columns: seed, rounds,
-  // messages, total_bits, max_edge_bits, completed, size, objective. The
-  // facts are what the single run printed for seed 3 at the same commit.
+  // (gnp:120:0.05, gseed=3, seeds 3 and 4); maxis-alg3 and mwm-lr-det
+  // re-captured when their coloring gained the additive-group stage
+  // (engine version 8). Columns: seed, rounds, messages, total_bits,
+  // max_edge_bits, completed, size, objective. The facts are what the
+  // single run printed for seed 3 at the same commit.
   using Facts = std::vector<std::pair<std::string, std::uint64_t>>;
   const struct {
     std::string_view algo;
@@ -766,17 +768,17 @@ TEST(AlgorithmRegistry, EveryEntryServesItsGoldenRowsAndDetail) {
         {4, 10, 1412, 17713, 18, true, 39, 2490}},
        {{"undecided", 0}}},
       {"maxis-alg3",
-       {{3, 119, 78472, 860262, 11, true, 39, 2416},
-        {4, 119, 78472, 860262, 11, true, 39, 2416}},
-       {{"colors", 13}}},
+       {{3, 54, 2871, 29179, 12, true, 36, 2311},
+        {4, 54, 2871, 29179, 12, true, 36, 2311}},
+       {{"colors", 13}, {"coloring_rounds", 45}}},
       {"mwm-lr",
        {{3, 28, 4788, 354312, 75, true, 50, 4081},
         {4, 20, 4710, 348540, 75, true, 50, 3960}},
        {}},
       {"mwm-lr-det",
-       {{3, 366, 1461302, 19180978, 46, true, 51, 4053},
-        {4, 366, 1461302, 19180978, 46, true, 51, 4053}},
-       {{"colors", 23}}},
+       {{3, 105, 17622, 430833, 46, true, 52, 4057},
+        {4, 105, 17622, 430833, 46, true, 52, 4057}},
+       {{"colors", 23}, {"coloring_rounds", 71}}},
       {"mcm-2eps",
        {{3, 38, 7581, 295659, 52, true, 57, 57},
         {4, 30, 6477, 252603, 52, true, 56, 56}},

@@ -83,18 +83,84 @@ TEST(Linial, DeterministicAndRoundStructure) {
   const auto a = linial_coloring(g, test::run_opts());
   const auto b = linial_coloring(g, test::run_opts());
   EXPECT_EQ(a.colors, b.colors);
-  // Rounds = reduction steps + class-elimination rounds (O(Δ²) dominated).
-  const auto schedule = build_linial_schedule(100, g.max_degree());
-  const std::uint64_t expect =
-      schedule.steps.size() +
-      (schedule.final_colors > g.max_degree() + 1
-           ? schedule.final_colors - g.max_degree() - 1
-           : 0);
+  // Rounds = reduction steps + q additive rounds (when the fixpoint has
+  // more than q colors) + one elimination round per class above Δ.
+  const std::uint32_t delta = g.max_degree();
+  const auto schedule = build_linial_schedule(100, delta);
+  const std::uint64_t q = next_prime(2 * std::max(delta, 1u) + 1);
+  EXPECT_EQ(schedule.additive_q, q);
+  const std::uint64_t additive = schedule.final_colors > q ? q : 0;
+  const std::uint64_t colors = additive != 0 ? q : schedule.final_colors;
+  const std::uint64_t expect = schedule.steps.size() + additive +
+                               (colors > delta + 1 ? colors - delta - 1 : 0);
   EXPECT_EQ(a.metrics.rounds, expect);
+  EXPECT_EQ(schedule.total_rounds(), expect);
+}
+
+TEST(Linial, ColoringRoundsAreLinearInDelta) {
+  // O(Δ + log* n): at most steps + q + (q - Δ - 1) rounds, q < 4Δ + 2.
+  for (std::uint32_t delta : {2u, 4u, 8u, 16u, 32u}) {
+    Rng rng(delta);
+    const Graph g = gen::random_regular(2048, delta, rng);
+    ASSERT_EQ(g.max_degree(), delta);
+    const auto res = linial_coloring(g, test::run_opts());
+    EXPECT_TRUE(res.metrics.completed) << delta;
+    EXPECT_TRUE(is_proper_coloring(g, res.colors)) << delta;
+    EXPECT_LE(res.num_colors, delta + 1) << delta;
+    const auto schedule = build_linial_schedule(2048, delta);
+    const std::uint64_t q = next_prime(2 * delta + 1);
+    EXPECT_LE(res.metrics.rounds, schedule.steps.size() + 2 * q - delta - 1)
+        << delta;
+  }
+}
+
+TEST(Linial, WidthHoldsFromTheLinialStepsIntoTheAdditiveStage) {
+  // On this graph Linial takes steps and ends at q² colors, so every
+  // message of the additive stage needs bits_for_count(q²) bits, enforced.
+  Rng rng(7);
+  const Graph g = gen::random_regular(4096, 4, rng);
+  const auto schedule = build_linial_schedule(4096, 4);
+  ASSERT_GE(schedule.steps.size(), 1u);
+  ASSERT_GT(schedule.additive_rounds, 0u);
+  const std::uint64_t q = schedule.additive_q;
+  ASSERT_EQ(schedule.final_colors, q * q);
+  const int additive_width =
+      sim::Message::kTypeBits + bits_for_count(q * q);
+
+  sim::RunOptions opts = test::run_opts();
+  ASSERT_TRUE(opts.policy.bounded && opts.policy.enforce);
+  const auto first = static_cast<std::uint32_t>(schedule.steps.size()) + 1;
+  const std::uint32_t last = first + schedule.additive_rounds - 1;
+  std::uint64_t additive_messages = 0;
+  opts.observer = [&](const sim::RoundSample& s) {
+    if (s.round < first || s.round > last) return;
+    additive_messages += s.messages;
+    EXPECT_EQ(s.bits, s.messages * additive_width) << "round " << s.round;
+  };
+  const auto res = linial_coloring(g, opts);
+  EXPECT_TRUE(res.metrics.completed);
+  EXPECT_TRUE(is_proper_coloring(g, res.colors));
+  EXPECT_LE(res.num_colors, 5u);
+  EXPECT_GT(additive_messages, 0u);
+  // The widest message is the id every node announces in round 0.
+  EXPECT_EQ(res.metrics.max_edge_bits,
+            sim::Message::kTypeBits + bits_for_count(4096));
+}
+
+TEST(Linial, MessagesOnlyOnColorChanges) {
+  // A node re-sends nothing while its color holds: far fewer messages
+  // than one broadcast per node per round.
+  Rng rng(9);
+  const Graph g = gen::random_regular(150, 6, rng);
+  const auto res = linial_coloring(g, test::run_opts());
+  ASSERT_TRUE(res.metrics.completed);
+  const std::uint64_t per_round = 2 * g.num_edges();
+  EXPECT_LT(res.metrics.messages, per_round * res.metrics.rounds / 2);
 }
 
 TEST(Linial, EliminationRoundsScaleWithDeltaNotN) {
-  // The log* n part is tiny; elimination is O(Δ²) independent of n.
+  // The log* n part is tiny; the other two stages are O(Δ), independent
+  // of n.
   Rng rng1(4), rng2(5);
   const Graph small_n = gen::random_regular(128, 4, rng1);
   const Graph large_n = gen::random_regular(1024, 4, rng2);

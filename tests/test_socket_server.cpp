@@ -440,6 +440,18 @@ TEST(SocketServer, RowsAreByteIdenticalAtEveryLaneCount) {
   }
 }
 
+TEST(SocketServer, SharedPoolWorkersAreCappedAtTheCoreCount) {
+  // Pure arithmetic: no thread starts here, whatever the inputs.
+  EXPECT_EQ(service::shared_pool_workers(2, 2, 4), 4u);  // 2 lanes x 2
+  EXPECT_EQ(service::shared_pool_workers(1, 2, 64), 2u);
+  EXPECT_EQ(service::shared_pool_workers(2, 8, 4), 4u);
+  EXPECT_EQ(service::shared_pool_workers(8, 65536, 16), 16u);
+  EXPECT_EQ(service::shared_pool_workers(65536, 65536, 96), 96u);
+  // At least two workers, also on one core or an unknown core count.
+  EXPECT_EQ(service::shared_pool_workers(4, 4, 1), 2u);
+  EXPECT_EQ(service::shared_pool_workers(3, 65536, 0), 2u);
+}
+
 TEST(SocketServer, PipelinedSubmitsComeBackInSubmitOrderWithTheRightBytes) {
   // The first job is the slowest by far; on 4 lanes the small ones
   // finish first, so any ordering bug would surface as a swapped
